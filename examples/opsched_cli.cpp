@@ -242,7 +242,9 @@ int cmd_schedule(const Graph& g, const Flags& flags) {
   table.print(std::cout);
   if (flags.has("trace")) {
     const std::string path = flags.get("trace", "schedule.json");
-    write_chrome_trace(path, last.trace, g);
+    obs::TraceCollector spans;
+    append_trace_spans(last.trace, g, spans);
+    spans.write(path);
     std::cout << "trace written to " << path << "\n";
   }
   return 0;

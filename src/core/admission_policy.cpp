@@ -626,7 +626,6 @@ std::optional<MultiAdmissionDecision> AdmissionPolicy::pick_once(
     const std::vector<std::vector<std::size_t>>& skips,
     std::vector<AdmissionStats>* stats) {
   tenant_order(tenants.size(), order_scratch_);
-  static const std::vector<std::size_t> kNoSkip;
 
   const bool s3 = (options_.strategies & kStrategy3) != 0;
   if (!s3) {
@@ -636,7 +635,7 @@ std::optional<MultiAdmissionDecision> AdmissionPolicy::pick_once(
     if (!running.ops.empty()) return std::nullopt;
     for (const std::size_t t : order_scratch_) {
       const ReadyQueue& ready = *tenants[t].ready;
-      const auto& skip = skips.empty() ? kNoSkip : skips[t];
+      const auto& skip = skips[t];
       for (std::size_t pos = 0; pos < ready.size(); ++pos) {
         if (position_skipped(skip, pos)) continue;
         const GraphBinding& b = bind(t, *tenants[t].graph);
@@ -668,8 +667,8 @@ std::optional<MultiAdmissionDecision> AdmissionPolicy::pick_once(
     if (usable <= 0) continue;
     const GraphBinding& b = bind(t, *tenants[t].graph);
     auto pick = pick_for_tenant(t, b, *tenants[t].ready, usable, running,
-                                skips.empty() ? kNoSkip : skips[t],
-                                stats != nullptr ? &(*stats)[t] : nullptr);
+                                skips[t], stats != nullptr ? &(*stats)[t]
+                                                           : nullptr);
     if (pick.has_value()) {
       charge(t, pick->candidate);
       return MultiAdmissionDecision{t, *pick};
@@ -687,7 +686,7 @@ std::optional<MultiAdmissionDecision> AdmissionPolicy::pick_once(
     const int usable = tenant_floor(t) > 0 ? idle_cores : idle_cores - reserved;
     if (usable <= 0) continue;
     const GraphBinding& b = bind(t, *tenants[t].graph);
-    const auto& skip = skips.empty() ? kNoSkip : skips[t];
+    const auto& skip = skips[t];
     std::size_t heavy_pos = 0;
     double heavy_time = -1.0;
     bool any = false;
@@ -737,18 +736,9 @@ std::optional<MultiAdmissionDecision> AdmissionPolicy::next_launch_multi(
     const std::vector<TenantReadyView>& tenants, int idle_cores,
     const std::vector<RunningOpView>& running,
     std::vector<AdmissionStats>* stats) {
-  if (tenants.empty() || idle_cores <= 0) return std::nullopt;
-  if (stats != nullptr) stats->resize(tenants.size());
-  const double t0 = telem_.reg != nullptr ? wall_time_ms() : 0.0;
-  ensure_tenants(tenants.size());
-  resolve_running(running, running_scratch_);
-  // No skips: positions are queue positions verbatim.
-  auto d = pick_once(tenants, idle_cores, running_scratch_, {}, stats);
-  if (telem_.reg != nullptr) {
-    telem_.decisions->inc();
-    telem_.decision_ms->observe(wall_time_ms() - t0);
-  }
-  return d;
+  auto batch = next_launch_batch(tenants, idle_cores, running, stats, 1);
+  if (batch.empty()) return std::nullopt;
+  return batch.front();
 }
 
 std::vector<MultiAdmissionDecision> AdmissionPolicy::next_launch_batch(
@@ -762,7 +752,9 @@ std::vector<MultiAdmissionDecision> AdmissionPolicy::next_launch_batch(
   ensure_tenants(tenants.size());
   resolve_running(running, running_scratch_);
 
-  std::vector<std::vector<std::size_t>> picked(tenants.size());
+  std::vector<std::vector<std::size_t>>& picked = picked_scratch_;
+  picked.resize(tenants.size());
+  for (auto& p : picked) p.clear();
   int idle = idle_cores;
   while (batch.size() < max_launches && idle > 0) {
     auto d = pick_once(tenants, idle, running_scratch_, picked, stats);

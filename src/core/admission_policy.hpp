@@ -161,6 +161,9 @@ class AdmissionPolicy {
   /// Idle-core threshold below which Strategy 4 considers the machine full
   /// and starts overlaying small ops onto spare hyper-thread contexts.
   static constexpr std::size_t kOverlayTriggerIdleCores = 8;
+  /// Memory intensity below which a primary counts as compute-bound: only
+  /// such primaries have spare core cycles for a Strategy 4 overlay.
+  static constexpr double kComputeBoundMemIntensity = 0.45;
   /// Upper bound on the slowdown a hyper-thread secondary suffers; the
   /// throughput guard scales an overlay candidate's time by this factor.
   static constexpr double kOverlaySlowdownBound = 2.5;
@@ -211,7 +214,8 @@ class AdmissionPolicy {
   /// NO tenant had an admissible candidate. `stats`, when non-null, is
   /// resized to the tenant count and entry t accumulates the counters
   /// incurred walking tenant t's OWN queue — attribution is per queue, not
-  /// per winner, and rounds that end in a wait still count.
+  /// per winner, and rounds that end in a wait still count. Equivalent to
+  /// next_launch_batch with max_launches == 1.
   std::optional<MultiAdmissionDecision> next_launch_multi(
       const std::vector<TenantReadyView>& tenants, int idle_cores,
       const std::vector<RunningOpView>& running,
@@ -224,11 +228,11 @@ class AdmissionPolicy {
   /// join the running snapshot at their predicted duration) and reports its
   /// ready_pos relative to the queue AFTER those picks are erased — apply
   /// the batch in order. Each pick charges the fairness ledger exactly as
-  /// the one-at-a-time walk does; max_launches == 1 is bit-identical to
-  /// next_launch_multi. The decision stream an executor sees differs from
-  /// calling next_launch_multi per launch only through the snapshot
-  /// staleness within a batch — which can never change numerics, only
-  /// schedule shape (the determinism contract).
+  /// the one-at-a-time walk does; max_launches == 1 is next_launch_multi
+  /// (the simulator's decision-per-wake). The decision stream an executor
+  /// sees differs from calling next_launch_multi per launch only through
+  /// the snapshot staleness within a batch — which can never change
+  /// numerics, only schedule shape (the determinism contract).
   std::vector<MultiAdmissionDecision> next_launch_batch(
       const std::vector<TenantReadyView>& tenants, int idle_cores,
       const std::vector<RunningOpView>& running,
@@ -460,8 +464,8 @@ class AdmissionPolicy {
       const ReadyQueue& ready, int idle_cores, const RunningScratch& running,
       const std::vector<std::size_t>& skip, AdmissionStats* stats);
 
-  /// One pick of the batch walk (the shared body of next_launch_multi and
-  /// next_launch_batch).
+  /// One pick of the batch walk; `skips[t]` lists tenant t's ORIGINAL queue
+  /// positions already picked earlier in the batch.
   std::optional<MultiAdmissionDecision> pick_once(
       const std::vector<TenantReadyView>& tenants, int idle_cores,
       const RunningScratch& running,
@@ -509,6 +513,8 @@ class AdmissionPolicy {
   // Reusable per-call scratch (the hot path allocates nothing in steady
   // state).
   std::vector<std::size_t> order_scratch_;
+  /// Per-tenant positions picked so far in the current batch.
+  std::vector<std::vector<std::size_t>> picked_scratch_;
   RunningScratch running_scratch_;
   /// Per-walk rejection memos (see pick_for_tenant): stamp[op] == walk_id_
   /// marks an arena op already proven inadmissible / bad-paired under the

@@ -1,147 +1,9 @@
 #include "core/corun_scheduler.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 namespace opsched {
-
-std::vector<RunningOpView> CorunScheduler::running_views(
-    const SimMachine& machine,
-    const std::vector<const Graph*>& graphs) const {
-  std::vector<RunningOpView> views;
-  views.reserve(machine.running().size());
-  for (const auto& task : machine.running()) {
-    RunningOpView v;
-    const auto it = in_flight_.find(task.id);
-    v.tenant = it != in_flight_.end() ? it->second.tenant : 0;
-    v.key = OpKey::of(graphs[v.tenant]->node(task.node));
-    v.remaining_ms = task.remaining_ms / task.rate;
-    v.threads = static_cast<int>(task.cores.count());
-    views.push_back(v);
-  }
-  return views;
-}
-
-bool CorunScheduler::schedule_round(
-    const std::vector<const Graph*>& graphs, SimMachine& machine,
-    std::vector<ReadyQueue>& ready,
-    const std::vector<TenantReadyView>& tenant_views,
-    std::vector<StepResult>& stats) {
-  const bool s4 = (options_.strategies & kStrategy4) != 0;
-  bool launched_any = false;
-
-  const auto record_launch = [&](std::size_t tenant, const Node& node) {
-    // Mirror of the machine's own (global) trace entry, routed to the
-    // launching tenant: same virtual time, same all-tenant co-run level.
-    stats[tenant].trace.record(machine.now_ms(), /*is_launch=*/true, node.id,
-                               node.kind,
-                               static_cast<int>(machine.num_running()));
-  };
-
-  // ---- Strategies 1-3 (serial execution when S3 is off) ----
-  for (;;) {
-    CoreSet idle = machine.idle_cores();
-    if (idle.empty()) break;
-
-    std::vector<AdmissionStats> round_stats;
-    const auto decision =
-        policy_.next_launch_multi(tenant_views, static_cast<int>(idle.count()),
-                                  running_views(machine, graphs),
-                                  &round_stats);
-    // Per-queue attribution, wait rounds included: each tenant's counters
-    // reflect the walk over its own queue, whoever wins the round.
-    for (std::size_t t = 0; t < round_stats.size(); ++t) {
-      stats[t].cache_hits += round_stats[t].cache_hits;
-      stats[t].guard_fallbacks += round_stats[t].guard_fallbacks;
-    }
-    if (!decision.has_value()) break;  // wait for a completion
-    const std::size_t tenant = decision->tenant;
-
-    const Node& node =
-        graphs[tenant]->node(ready[tenant][decision->decision.ready_pos]);
-    ready[tenant].erase(decision->decision.ready_pos);
-    const bool corun = !machine.quiescent();
-    const Candidate& c = decision->decision.candidate;
-    const auto id = machine.launch(
-        node, c.threads, c.mode,
-        idle.take_lowest(static_cast<std::size_t>(c.threads)));
-    // Remember the owner and co-runners for completion routing and the
-    // interference recorder.
-    Launched rec;
-    rec.tenant = tenant;
-    for (const auto& task : machine.running()) {
-      if (task.id == id) continue;
-      const auto it = in_flight_.find(task.id);
-      const std::size_t other = it != in_flight_.end() ? it->second.tenant : 0;
-      rec.corunners.push_back(
-          TenantOpKey{other, OpKey::of(graphs[other]->node(task.node))});
-    }
-    in_flight_[id] = std::move(rec);
-    record_launch(tenant, node);
-    ++stats[tenant].ops_run;
-    if (corun) ++stats[tenant].corun_launches;
-    launched_any = true;
-  }
-
-  // ---- Strategy 4: hyper-thread overlays ----
-  // Triggered when the machine is (nearly) full — the paper's "an operation
-  // using 68 cores" generalized to any residue too small for Strategy 3.
-  if (s4 && machine.idle_cores().count() <
-                AdmissionPolicy::kOverlayTriggerIdleCores) {
-    for (;;) {
-      // Overlays only pay off on cores whose primary is compute-bound: a
-      // memory-bound primary has no spare core cycles and the overlay only
-      // adds bandwidth pressure.
-      CoreSet eligible = machine.overlayable_cores();
-      {
-        CoreSet compute_bound(eligible.capacity());
-        for (const auto& task : machine.running()) {
-          if (task.launch_kind != LaunchKind::kOverlay &&
-              task.mem_intensity < 0.45) {
-            compute_bound = compute_bound.union_with(task.cores);
-          }
-        }
-        eligible = eligible.intersect(compute_bound);
-      }
-      if (eligible.empty()) break;
-
-      const auto decision = policy_.next_overlay_multi(
-          tenant_views, static_cast<int>(eligible.count()),
-          running_views(machine, graphs));
-      if (!decision.has_value()) break;
-      const std::size_t tenant = decision->tenant;
-
-      const Node& node =
-          graphs[tenant]->node(ready[tenant][decision->decision.ready_pos]);
-      ready[tenant].erase(decision->decision.ready_pos);
-      const Candidate& c = decision->decision.candidate;
-      const auto id = machine.launch(
-          node, c.threads, c.mode,
-          eligible.take_lowest(static_cast<std::size_t>(c.threads)),
-          LaunchKind::kOverlay);
-      Launched rec;
-      rec.tenant = tenant;
-      rec.overlay = true;
-      for (const auto& task : machine.running()) {
-        if (task.id == id) continue;
-        const auto it = in_flight_.find(task.id);
-        const std::size_t other =
-            it != in_flight_.end() ? it->second.tenant : 0;
-        rec.corunners.push_back(
-            TenantOpKey{other, OpKey::of(graphs[other]->node(task.node))});
-      }
-      in_flight_[id] = std::move(rec);
-      record_launch(tenant, node);
-      ++stats[tenant].ops_run;
-      ++stats[tenant].overlay_launches;
-      ++stats[tenant].corun_launches;
-      launched_any = true;
-    }
-  }
-
-  return launched_any;
-}
 
 StepResult CorunScheduler::run_step(const Graph& g, SimMachine& machine) {
   std::vector<StepResult> results = run_step_multi({&g}, machine);
@@ -158,79 +20,53 @@ std::vector<StepResult> CorunScheduler::run_step_multi(
 std::vector<StepResult> CorunScheduler::run_step_multi(
     const std::vector<const Graph*>& graphs, SimMachine& machine,
     const TenantSet& set) {
-  const std::size_t tenants = graphs.size();
-  if (tenants == 0) return {};
-  if (set.ids.size() != tenants) {
-    throw std::invalid_argument(
-        "CorunScheduler::run_step_multi: TenantSet/graphs size mismatch");
-  }
   machine.reset();
   // The machine's own (all-tenant) trace stays a live surface for
   // machine-level consumers (FifoExecutor, sim_machine_test); clearing it
   // here only stops growth across steps. The per-tenant traces returned in
-  // the results are recorded by this scheduler at the same event points.
+  // the results are recorded by the step loop at the same event points.
   machine.trace().clear();
-  in_flight_.clear();
-  policy_.configure_tenants(set);
+  machine_ = &machine;
+  return run_step_loop(graphs, set);
+}
 
-  std::vector<StepResult> results(tenants);
-  std::vector<ReadyTracker> trackers;
-  trackers.reserve(tenants);
-  std::vector<ReadyQueue> ready(tenants);
-  std::vector<TenantReadyView> tenant_views(tenants);
-  std::size_t remaining_total = 0;
-  for (std::size_t t = 0; t < tenants; ++t) {
-    trackers.emplace_back(*graphs[t]);
-    ready[t].assign(trackers[t].initially_ready().begin(),
-                    trackers[t].initially_ready().end());
-    tenant_views[t] = TenantReadyView{graphs[t], &ready[t]};
-    remaining_total += trackers[t].remaining();
+void CorunScheduler::running_views(std::vector<RunningOpView>& out) const {
+  for (const auto& task : machine_->running()) {
+    const bool overlay = task.launch_kind == LaunchKind::kOverlay;
+    const InFlightOp& op =
+        in_flight()[2 * task.cores.lowest() + (overlay ? 1 : 0)];
+    RunningOpView v;
+    v.tenant = op.tenant;
+    v.key = op.key;
+    v.op_token = op.op_token;
+    v.remaining_ms = task.remaining_ms / task.rate;
+    v.threads = static_cast<int>(task.cores.count());
+    out.push_back(v);
   }
-  std::vector<double> last_completion(tenants, 0.0);
+}
 
-  while (remaining_total > 0) {
-    schedule_round(graphs, machine, ready, tenant_views, results);
-    const auto comp = machine.advance();
-    if (!comp.has_value()) {
-      throw std::logic_error(
-          "CorunScheduler: deadlock — nothing running but nodes remain");
-    }
+std::optional<OpCompletion> CorunScheduler::launch(std::size_t,
+                                                   InFlightOp& op,
+                                                   const Node& node,
+                                                   const Candidate& c) {
+  op.task = machine_->launch(
+      node, c.threads, c.mode, op.cores,
+      op.overlay ? LaunchKind::kOverlay : LaunchKind::kExclusive);
+  op.mem_intensity = machine_->running().back().mem_intensity;
+  return std::nullopt;
+}
 
-    const auto it = in_flight_.find(comp->id);
-    const std::size_t tenant =
-        it != in_flight_.end() ? it->second.tenant : 0;
-
-    // Interference recorder: excessive co-run slowdown marks all pairs.
-    // Overlays are exempt — hyper-thread sharing slows them by design.
-    if (options_.interference_recorder &&
-        comp->actual_ms > comp->solo_ms * options_.interference_bad_ratio) {
-      if (it != in_flight_.end() && !it->second.overlay) {
-        policy_.record_interference(
-            TenantOpKey{tenant,
-                        OpKey::of(graphs[tenant]->node(comp->node))},
-            it->second.corunners);
-      }
-    }
-    if (it != in_flight_.end()) in_flight_.erase(it);
-
-    results[tenant].service_ms += comp->actual_ms;
-    last_completion[tenant] = comp->finish_ms;
-    results[tenant].trace.record(comp->finish_ms, /*is_launch=*/false,
-                                 comp->node,
-                                 graphs[tenant]->node(comp->node).kind,
-                                 static_cast<int>(machine.num_running()));
-
-    std::vector<NodeId> newly;
-    trackers[tenant].mark_done(comp->node, newly);
-    for (NodeId id : newly) ready[tenant].push_back(id);
-    --remaining_total;
+void CorunScheduler::wait(std::vector<OpCompletion>& out) {
+  const auto comp = machine_->advance();
+  if (!comp.has_value()) {
+    throw std::logic_error(
+        "CorunScheduler: deadlock — nothing running but nodes remain");
   }
-
-  for (std::size_t t = 0; t < tenants; ++t) {
-    results[t].time_ms = last_completion[t];
-    results[t].mean_corun = results[t].trace.mean_corun();
-  }
-  return results;
+  std::size_t slot = 0;
+  while (!in_flight()[slot].live || in_flight()[slot].task != comp->id)
+    ++slot;
+  out.push_back(
+      OpCompletion{slot, comp->finish_ms, comp->actual_ms, comp->solo_ms});
 }
 
 }  // namespace opsched

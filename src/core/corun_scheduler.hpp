@@ -1,88 +1,38 @@
-// CorunScheduler: executes one training step on the simulated machine under
-// Strategies 1-4 (paper Section III-D). This is the component that replaces
-// TensorFlow's FIFO executor.
-//
-// Per scheduling round (whenever cores idle — at step start and after every
-// completion):
-//   Strategy 3: walk the ready queue in arrival order; for each op take its
-//   `num_candidates` most performant (threads, mode) configurations; a
-//   candidate is admissible if it fits the idle cores, respects the
-//   Strategy-2 width guard (|Δthreads| <= 2 else fall back to the S2
-//   width), is predicted not to outlast the ongoing ops (throughput guard),
-//   and does not form a recorded bad-interference pair with a running op.
-//   Among admissible candidates of the first such op, the one with the
-//   FEWEST threads wins — freeing cores for more co-runners, the paper's
-//   "maximize operations co-running" tie-break.
-//   If nothing is admissible and the machine is empty, the most
-//   time-consuming ready op runs (capped to the machine width).
-//   Strategy 4: when no idle cores remain, the smallest ready ops (by
-//   serial time) are overlaid onto spare hyper-thread contexts.
-//
-// Multi-tenancy: run_step_multi co-locates N independent training graphs on
-// the one simulated machine — each tenant keeps a private ready queue and
-// dependency tracker, and the shared AdmissionPolicy's weighted-deficit
-// walk arbitrates which tenant's op claims idle cores each round. The
-// single-graph run_step is the N=1 case of the same loop.
-//
-// The decision logic itself lives in AdmissionPolicy, which this scheduler
-// shares with HostCorunExecutor (real threads, real kernels): the simulator
-// and the native host path answer "what runs next, at what width?"
-// identically by construction.
+// CorunScheduler: the simulated-machine half of the adaptive step loop
+// (core/step_loop.hpp) — one training step of N co-located tenants on the
+// SimMachine under Strategies 1-4 (paper Section III-D). The loop and the
+// AdmissionPolicy decide what runs next and at what width; this class only
+// maps those decisions onto the simulator:
+//   - idle cores are the machine's cores without a primary occupant;
+//   - a launch is SimMachine::launch (exclusive, or overlay for Strategy 4);
+//   - completions arrive one at a time from SimMachine::advance, which
+//     moves the virtual clock;
+//   - a running op's remaining time is its remaining work at its current
+//     rate, and a completion is judged against its interference-free time.
+// The simulator decides one launch per wake (decision batch 1), so every
+// decision sees the rates of all earlier launches.
 #pragma once
 
-#include <map>
 #include <vector>
 
-#include "core/admission_policy.hpp"
 #include "core/concurrency_controller.hpp"
+#include "core/step_loop.hpp"
 #include "machine/sim_machine.hpp"
 
 namespace opsched {
-
-/// Outcome of one training step — simulated (CorunScheduler, FifoExecutor)
-/// or native (HostCorunExecutor). On the simulated path `time_ms` is
-/// virtual clock time; on the host path it is wall-clock time and
-/// `checksum` carries the deterministic step checksum.
-struct StepResult {
-  double time_ms = 0.0;
-  EventTrace trace;
-  /// Scheduler statistics for the step.
-  std::size_t ops_run = 0;
-  std::size_t corun_launches = 0;    // launches while something else ran
-  std::size_t overlay_launches = 0;  // Strategy 4 overlays
-  std::size_t cache_hits = 0;        // decision-cache reuses
-  std::size_t guard_fallbacks = 0;   // S2 delta-guard rewrites
-  double mean_corun = 0.0;
-  /// Host executors only: deterministic checksum over every node's outputs
-  /// (0.0 on the simulated path, which never touches tensor values).
-  double checksum = 0.0;
-  /// Sum of the completed ops' individual durations (wall on the host path,
-  /// virtual on the simulated one). On the multi-tenant paths this is the
-  /// machine time each tenant actually consumed — the basis of the fairness
-  /// metrics; time_ms is the tenant's makespan, which overlaps with other
-  /// tenants'.
-  double service_ms = 0.0;
-  /// Host executors only: wall time the dispatcher spent INSIDE admission
-  /// decisions this step (building running views + policy calls), i.e. the
-  /// scheduler overhead the micro_dispatch bench divides by time_ms. 0.0 on
-  /// the simulated path, whose decisions take no virtual time.
-  double sched_ms = 0.0;
-};
 
 /// Lifetime: the scheduler keeps a reference to `controller`, which must
 /// outlive it (Runtime owns both and guarantees this; standalone users must
 /// too). `options` is copied at construction.
 ///
-/// Thread-safety: NOT thread-safe. run_step mutates the learned state
-/// (decision cache, interference record — owned by the embedded
-/// AdmissionPolicy), so each SimMachine/step must be driven from one thread
-/// at a time; concurrent steps need one scheduler per thread. The
-/// referenced ConcurrencyController is only read.
-class CorunScheduler {
+/// Thread-safety: NOT thread-safe (see AdaptiveStepLoop); concurrent steps
+/// need one scheduler per thread. The referenced ConcurrencyController is
+/// only read.
+class CorunScheduler : public AdaptiveStepLoop {
  public:
   CorunScheduler(const ConcurrencyController& controller,
                  RuntimeOptions options)
-      : options_(options), policy_(controller, options) {}
+      : AdaptiveStepLoop(controller, options, /*decision_batch=*/1) {}
 
   /// Runs every node of `g` to completion on `machine` (which is reset
   /// first). Deterministic for fixed inputs.
@@ -111,53 +61,20 @@ class CorunScheduler {
       const std::vector<const Graph*>& graphs, SimMachine& machine,
       const TenantSet& set);
 
-  /// Bad-interference pairs recorded so far (survives across steps, as in
-  /// the paper: "Our runtime can record such cases and avoid co-running
-  /// such operations in the future training steps").
-  std::size_t recorded_bad_pairs() const {
-    return policy_.recorded_bad_pairs();
+ private:
+  std::size_t width() const override { return machine_->spec().num_cores; }
+  double now_ms() const override { return machine_->now_ms(); }
+  CoreSet idle_cores() const override { return machine_->idle_cores(); }
+  void running_views(std::vector<RunningOpView>& out) const override;
+  std::optional<OpCompletion> launch(std::size_t slot, InFlightOp& op,
+                                     const Node& node,
+                                     const Candidate& c) override;
+  void wait(std::vector<OpCompletion>& out) override;
+  double settle(const InFlightOp&, const OpCompletion& c) override {
+    return c.solo_ms;
   }
 
-  /// Clears learned state (decision cache + interference record).
-  void reset_learning() { policy_.reset_learning(); }
-
-  /// Forgets stable tenant id `id`'s learned state and fairness deficit
-  /// (see AdmissionPolicy::retire_tenant) — the serving layer calls this
-  /// when a job leaves for good.
-  void retire_tenant(std::size_t id) { policy_.retire_tenant(id); }
-
-  /// The shared Strategy 1-4 admission logic (also used, with its own
-  /// instance, by HostCorunExecutor). Exposed for the drift tests.
-  const AdmissionPolicy& policy() const noexcept { return policy_; }
-
- private:
-  struct Launched {
-    std::size_t tenant = 0;
-    std::vector<TenantOpKey> corunners;
-    /// Overlays slow down by design (hyper-thread sharing); the recorder
-    /// only flags *unexpected* interference, so overlays are exempt.
-    bool overlay = false;
-  };
-
-  /// One scheduling round over every tenant's queue; launches zero or more
-  /// ops. Returns true if at least one launch happened.
-  bool schedule_round(const std::vector<const Graph*>& graphs,
-                      SimMachine& machine,
-                      std::vector<ReadyQueue>& ready,
-                      const std::vector<TenantReadyView>& tenant_views,
-                      std::vector<StepResult>& stats);
-
-  /// Snapshot of machine.running() in the form the policy consumes, with
-  /// each task's owning tenant resolved through in_flight_.
-  std::vector<RunningOpView> running_views(
-      const SimMachine& machine,
-      const std::vector<const Graph*>& graphs) const;
-
-  RuntimeOptions options_;
-  AdmissionPolicy policy_;
-  /// Owning tenant and co-runners of each in-flight task at launch (for
-  /// completion routing and the interference recorder).
-  std::map<SimMachine::TaskId, Launched> in_flight_;
+  SimMachine* machine_ = nullptr;  // the machine of the running step
 };
 
 }  // namespace opsched

@@ -4,11 +4,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
 
 #include "ops/work_profile.hpp"
+#include "threading/launch_pad.hpp"
 #include "util/clock.hpp"
 
 namespace opsched {
@@ -18,8 +20,8 @@ namespace {
 /// Machine-agnostic memory-intensity proxy for the Strategy 4 eligibility
 /// test (the simulator asks its CostModel; the host has no MachineSpec).
 /// Bytes are weighted against flops at a typical host compute/bandwidth
-/// ratio; only the < 0.45 compute-bound cut-off consumes the value, so the
-/// constant's precision is not load-bearing.
+/// ratio; only the AdmissionPolicy::kComputeBoundMemIntensity cut-off
+/// consumes the value, so the constant's precision is not load-bearing.
 double host_mem_intensity(const Node& node) {
   const WorkProfile w = work_profile(node);
   const double tc = w.flops;
@@ -28,25 +30,12 @@ double host_mem_intensity(const Node& node) {
   return tm / (tc + tm);
 }
 
-/// Compute-bound primaries threshold, mirroring CorunScheduler's overlay
-/// eligibility rule.
-constexpr double kComputeBoundCutoff = 0.45;
-
-/// The one place a host StepResult's derived fields are filled in — every
-/// run_step_host* variant (adaptive single, multi-tenant, FIFO) ends here,
-/// so the checksum plumbing cannot drift between them.
-void finalize_step(StepResult& stats, double time_ms,
-                   HostGraphProgram& program) {
-  stats.time_ms = time_ms;
-  stats.mean_corun = stats.trace.mean_corun();
-  stats.checksum = program.step_checksum();
-}
-
 /// Sharded completion posting: one cache-line-aligned slot per launch lane,
 /// so launcher threads finishing concurrently each write their own line and
-/// never contend a shared mutex/deque. A lane has at most one op in flight
-/// (its cores stay busy until the dispatcher consumes the completion), so a
-/// slot is written at most once between reads by construction.
+/// never contend a shared mutex/deque. A lane (an adaptive span's lane or a
+/// FIFO slot) has at most one op in flight — it stays busy until the
+/// dispatcher consumes the completion — so a slot is written at most once
+/// between reads by construction.
 ///
 /// Wakeup is a Dekker handshake on (posted_, sleeping_): posters bump
 /// posted_ then check whether the dispatcher announced it was going to
@@ -109,13 +98,13 @@ class CompletionBoard {
 HostCorunExecutor::HostCorunExecutor(const ConcurrencyController& controller,
                                      TeamPool& pool, RuntimeOptions options,
                                      HostCorunOptions host)
-    : controller_(controller),
+    : AdaptiveStepLoop(controller, options,
+                       std::max<std::size_t>(1, host.decision_batch)),
+      controller_(controller),
       pool_(pool),
-      options_(options),
       host_(host),
       cores_(host.cores == 0 ? pool.max_width()
-                             : std::min(host.cores, pool.max_width())),
-      policy_(controller, options) {
+                             : std::min(host.cores, pool.max_width())) {
   if (cores_ == 0)
     throw std::invalid_argument("HostCorunExecutor: zero-width pool");
   // Launch lanes: lane 2c runs the primary whose span starts at core c,
@@ -154,6 +143,26 @@ void HostCorunExecutor::attach_observability(obs::Registry* reg,
   policy_.attach_metrics(reg, instance);
 }
 
+struct HostCorunExecutor::Step {
+  Step(const std::vector<HostGraphProgram*>& programs, std::size_t cores)
+      : programs(programs),
+        board(2 * cores),
+        primary_busy(cores),
+        overlaid(cores),
+        pad(2 * cores) {}
+
+  const std::vector<HostGraphProgram*>& programs;
+  const double t0 = wall_time_ms();
+  /// Sharded completion board shared with the launchers.
+  CompletionBoard board;
+  std::size_t consumed = 0;
+  CoreSet primary_busy;
+  CoreSet overlaid;
+  /// Declared after the state its jobs capture so its destructor joins the
+  /// launcher threads first.
+  LaunchPad pad;
+};
+
 StepResult HostCorunExecutor::run_step(HostGraphProgram& program) {
   std::vector<StepResult> results = run_step_multi({&program});
   return std::move(results.front());
@@ -168,22 +177,12 @@ std::vector<StepResult> HostCorunExecutor::run_step_multi(
 std::vector<StepResult> HostCorunExecutor::run_step_multi(
     const std::vector<HostGraphProgram*>& programs, const TenantSet& set) {
   const std::size_t tenants = programs.size();
-  if (tenants == 0) return {};
-  if (set.ids.size() != tenants) {
-    throw std::invalid_argument(
-        "HostCorunExecutor::run_step_multi: TenantSet/programs size "
-        "mismatch");
-  }
-  policy_.configure_tenants(set);
-  const std::size_t lanes = 2 * cores_;
-  const std::size_t batch_k = std::max<std::size_t>(1, host_.decision_batch);
-
   // Trace track metadata: one track per tenant×lane (primary + overlay
   // sub-track per core), named once per population growth.
   if (trace_ != nullptr && trace_named_tenants_ < tenants) {
     for (std::size_t t = trace_named_tenants_; t < tenants; ++t) {
       for (std::size_t c = 0; c < cores_; ++c) {
-        const auto tid = static_cast<std::uint32_t>(t * lanes + 2 * c);
+        const auto tid = static_cast<std::uint32_t>(t * 2 * cores_ + 2 * c);
         const std::string base =
             "tenant " + std::to_string(t) + " core " + std::to_string(c);
         trace_->set_track_name(trace_pid_, tid, base);
@@ -193,337 +192,187 @@ std::vector<StepResult> HostCorunExecutor::run_step_multi(
     trace_named_tenants_ = tenants;
   }
 
-  std::vector<StepResult> results(tenants);
-  const double t0 = wall_time_ms();
-  double sched_total = 0.0;  // dispatcher time inside admission decisions
-
-  // Per-tenant dependency state: private tracker and ready queue per
-  // training job, one shared machine underneath.
-  std::vector<ReadyTracker> trackers;
-  trackers.reserve(tenants);
-  std::vector<ReadyQueue> ready(tenants);
-  std::vector<TenantReadyView> tenant_views(tenants);
-  std::size_t remaining_total = 0;
-  for (std::size_t t = 0; t < tenants; ++t) {
-    trackers.emplace_back(programs[t]->graph());
-    ready[t].assign(trackers[t].initially_ready().begin(),
-                    trackers[t].initially_ready().end());
-    tenant_views[t] = TenantReadyView{&programs[t]->graph(), &ready[t]};
-    remaining_total += trackers[t].remaining();
-  }
-  std::vector<double> last_completion(tenants, t0);
-
-  // Lane-indexed in-flight records (dispatcher-only) and the sharded
-  // completion board (shared with launchers).
-  std::vector<InFlight> inflight(lanes);
-  std::size_t inflight_count = 0;
-  std::size_t consumed = 0;
-  CompletionBoard board(lanes);
-  CoreSet primary_busy(cores_);
-  CoreSet overlaid(cores_);
-
-  // Declared after the state it captures so its destructor joins the
-  // launcher threads first.
-  LaunchPad pad(lanes);
-
-  const auto any_ready = [&] {
-    for (const auto& q : ready) {
-      if (!q.empty()) return true;
-    }
-    return false;
-  };
-
-  // Snapshot of the in-flight ops on the policy's terms. Remaining time is
-  // predicted_ms minus elapsed wall-clock converted back to the
-  // controller's timescale through the learned calibration (1.0 until the
-  // first completion: the guard only compares these values against each
-  // other, so a uniform scale error is harmless).
-  const auto views = [&] {
-    std::vector<RunningOpView> v;
-    v.reserve(inflight_count);
-    const double now = wall_time_ms();
-    const double calib = calib_ > 0.0 ? calib_ : 1.0;
-    for (const InFlight& fl : inflight) {
-      if (!fl.live) continue;
-      RunningOpView r;
-      r.key = fl.key;
-      r.tenant = fl.tenant;
-      r.op_token = fl.op_token;
-      r.threads = static_cast<int>(fl.cores.count());
-      const double elapsed_model = (now - fl.start_wall_ms) / calib;
-      r.remaining_ms = std::max(0.0, fl.predicted_ms - elapsed_model);
-      v.push_back(r);
-    }
-    return v;
-  };
-
-  // Completion bookkeeping, shared by the async and inline paths.
-  const auto complete = [&](std::size_t lane, double end_wall) {
-    InFlight fl = std::move(inflight[lane]);
-    inflight[lane] = InFlight{};
-    --inflight_count;
-    StepResult& stats = results[fl.tenant];
-
-    const double actual_ms = end_wall - fl.start_wall_ms;
-    stats.service_ms += actual_ms;
-    // max, not overwrite: launchers can post completions out of wall-clock
-    // order, and the makespan is the LATEST end this tenant saw.
-    last_completion[fl.tenant] =
-        std::max(last_completion[fl.tenant], end_wall);
-    if (fl.predicted_ms > 0.0) {
-      // Interference is judged against the calibration as it stood BEFORE
-      // this sample: folding the slow sample into the EWMA first would
-      // dilute the 2.5x bad-pair threshold toward unreachable (overlays
-      // exempt — they slow down by design).
-      if (!fl.overlay && !fl.corunners.empty() && calib_ > 0.0) {
-        const double expected_ms = fl.predicted_ms * calib_;
-        if (actual_ms > expected_ms * options_.interference_bad_ratio) {
-          policy_.record_interference(TenantOpKey{fl.tenant, fl.key},
-                                      fl.corunners);
-        }
-      }
-      // Overlays are also excluded from the calibration: they run up to
-      // ~2.5x slow BY DESIGN, and folding that in would inflate every
-      // later expectation (recorder threshold, throughput-guard views).
-      if (!fl.overlay) {
-        const double ratio = actual_ms / fl.predicted_ms;
-        calib_ = calib_ == 0.0
-                     ? ratio
-                     : (1.0 - host_.calibration_alpha) * calib_ +
-                           host_.calibration_alpha * ratio;
-      }
-    }
-
-    if (fl.overlay) {
-      overlaid = overlaid.minus(fl.cores);
-    } else {
-      primary_busy = primary_busy.minus(fl.cores);
-    }
-    stats.trace.record(end_wall - t0, /*is_launch=*/false, fl.node,
-                       programs[fl.tenant]->graph().node(fl.node).kind,
-                       static_cast<int>(inflight_count));
-
-    // One wall-clock span per completed op, on its tenant×lane track.
-    if (trace_ != nullptr) {
-      const Node& node = programs[fl.tenant]->graph().node(fl.node);
-      obs::TraceSpan span;
-      span.name = node.label.empty() ? std::string(op_kind_name(node.kind))
-                                     : node.label;
-      span.cat = fl.overlay ? "op.overlay" : "op";
-      span.pid = trace_pid_;
-      span.tid = static_cast<std::uint32_t>(
-          fl.tenant * lanes + 2 * fl.cores.lowest() + (fl.overlay ? 1 : 0));
-      span.start_ms = fl.start_wall_ms;
-      span.dur_ms = end_wall - fl.start_wall_ms;
-      trace_->span(std::move(span));
-    }
-
-    std::vector<NodeId> newly;
-    trackers[fl.tenant].mark_done(fl.node, newly);
-    for (NodeId nid : newly) ready[fl.tenant].push_back(nid);
-    --remaining_total;
-  };
-
-  const auto launch = [&](std::size_t tenant, std::size_t ready_pos,
-                          const Candidate& c, const CoreSet& span,
-                          bool overlay, std::uint32_t op_token) {
-    HostGraphProgram& program = *programs[tenant];
-    StepResult& stats = results[tenant];
-    const double l0 = metrics_ != nullptr ? wall_time_ms() : 0.0;
-    const NodeId node_id = ready[tenant][ready_pos];
-    ready[tenant].erase(ready_pos);
-    const Node& node = program.graph().node(node_id);
-    const std::size_t lane = 2 * span.lowest() + (overlay ? 1 : 0);
-
-    InFlight fl;
-    fl.node = node_id;
-    fl.tenant = tenant;
-    fl.key = OpKey::of(node);
-    fl.cores = span;
-    fl.overlay = overlay;
-    fl.live = true;
-    fl.op_token = op_token;
-    fl.predicted_ms = c.time_ms > 0.0 ? c.time_ms
-                                      : controller_.predicted_time_ms(node);
-    for (const InFlight& other : inflight) {
-      if (other.live)
-        fl.corunners.push_back(TenantOpKey{other.tenant, other.key});
-    }
-    const bool corun = inflight_count > 0;
-    // A saturating launch — empty machine, op takes every idle core —
-    // excludes any co-runner until it completes, so the dispatcher runs it
-    // inline: the async detour (launcher handoff + condvar round-trip)
-    // would sit on the critical path for nothing. FIFO executors pipeline
-    // that latency behind their second slot; without this, serial phases
-    // of the adaptive schedule would pay pure overhead against them.
-    // Only when no Strategy-4 overlay could ride on it (overlays need the
-    // dispatcher free): single-core host, S4 off, or nothing else ready in
-    // ANY tenant's queue.
-    const bool overlays_possible = cores_ >= 2 &&
-                                   (options_.strategies & kStrategy4) != 0 &&
-                                   any_ready();
-    const bool inline_run =
-        !overlay && !corun && !overlays_possible &&
-        span.count() ==
-            CoreSet::all(cores_).minus(primary_busy).minus(overlaid).count();
-
-    // One pinned team per disjoint span. Overlays use slot 1 so an overlay
-    // whose (width, span) coincides with its primary's never shares the
-    // primary's (busy) team. Width-1 ops on the dispatcher-inline path use
-    // the workerless inline team — the dispatcher runs the kernel body
-    // itself, skipping the per-op dispatch round-trip that dominates tiny
-    // single-threaded ops. Async width-1 launches keep a pinned pool team:
-    // an inline team inherits the launcher thread's (absent) affinity,
-    // which would put the op on an OS-chosen core instead of its span.
-    // The per-lane cache makes the steady state (same op pattern -> same
-    // lane -> same span/width) a pointer compare instead of a pool lookup,
-    // and keeps re-waking the workers already pinned there.
-    ThreadTeam* team;
-    if (inline_run && span.count() == 1) {
-      team = &inline1_;
-    } else {
-      LaneTeam& cached = lane_teams_[lane];
-      const std::size_t slot = overlay ? 1 : 0;
-      if (cached.team != nullptr && cached.width == span.count() &&
-          cached.slot == slot && cached.span == span) {
-        team = cached.team;
-      } else {
-        team = &pool_.team_pinned(span.count(), span, slot);
-        cached = LaneTeam{team, span.count(), slot, span};
-      }
-    }
-    if (overlay) {
-      overlaid = overlaid.union_with(span);
-    } else {
-      primary_busy = primary_busy.union_with(span);
-    }
-    fl.start_wall_ms = wall_time_ms();
-    inflight[lane] = std::move(fl);
-    ++inflight_count;
-    stats.trace.record(wall_time_ms() - t0, /*is_launch=*/true, node_id,
-                       node.kind, static_cast<int>(inflight_count));
-    ++stats.ops_run;
-    if (overlay) {
-      ++stats.overlay_launches;
-      ++stats.corun_launches;
-    } else if (corun) {
-      ++stats.corun_launches;
-    }
-    if (metrics_ != nullptr) {
-      if (overlay) {
-        m_overlay_launches_->inc();
-      } else if (inline_run) {
-        m_inline_launches_->inc();
-      } else {
-        m_team_launches_->inc();
-      }
-      m_lanes_inflight_->observe(static_cast<double>(inflight_count));
-      // Dispatch handoff cost: admission bookkeeping to kernel handoff
-      // (team resolution, lane setup) — kernel time excluded on every path.
-      m_launch_ms_->observe(wall_time_ms() - l0);
-    }
-    if (inline_run) {
-      program.run_node(node_id, *team);
-      complete(lane, wall_time_ms());
-      return;
-    }
-    // Same-lane posting: the launcher that owns this span's lane runs the
-    // op and writes its own completion slot — no shared queue anywhere.
-    pad.launch_on(lane, [&program, &board, node_id, lane, team] {
-      program.run_node(node_id, *team);
-      board.post(lane, wall_time_ms());
-    });
-  };
-
-  while (remaining_total > 0) {
-    // ---- Strategies 1-3 (serial execution when S3 is off) ----
-    for (;;) {
-      const CoreSet idle =
-          CoreSet::all(cores_).minus(primary_busy).minus(overlaid);
-      if (idle.empty() || !any_ready()) break;
-      // One running-view snapshot and one policy call admit up to batch_k
-      // launches; decision i already models picks 0..i-1 as running, so
-      // applying them back-to-back matches deciding one per wake.
-      const double d0 = wall_time_ms();
-      std::vector<AdmissionStats> round_stats;
-      const auto batch =
-          policy_.next_launch_batch(tenant_views,
-                                    static_cast<int>(idle.count()), views(),
-                                    &round_stats, batch_k);
-      sched_total += wall_time_ms() - d0;
-      // Per-queue attribution, wait rounds included: the policy counts each
-      // tenant's cache hits / guard fallbacks against the queue that
-      // incurred them, whoever wins the round.
-      for (std::size_t t = 0; t < round_stats.size(); ++t) {
-        results[t].cache_hits += round_stats[t].cache_hits;
-        results[t].guard_fallbacks += round_stats[t].guard_fallbacks;
-      }
-      if (batch.empty()) break;  // wait for a completion
-      CoreSet avail = idle;
-      for (const auto& d : batch) {
-        const auto width = static_cast<std::size_t>(
-            std::max(1, d.decision.candidate.threads));
-        const CoreSet span = avail.take_lowest(width);
-        avail = avail.minus(span);
-        launch(d.tenant, d.decision.ready_pos, d.decision.candidate, span,
-               /*overlay=*/false, d.decision.op_token);
-      }
-    }
-
-    // ---- Strategy 4: overlay small ops onto busy compute-bound cores ----
-    // Gated on a multi-core host: overlays bank on spare hardware contexts
-    // next to a busy primary; on a single-core host there are none and an
-    // overlay is pure oversubscription.
-    if (cores_ >= 2 && (options_.strategies & kStrategy4) != 0 &&
-        any_ready() &&
-        CoreSet::all(cores_).minus(primary_busy).minus(overlaid).count() <
-            AdmissionPolicy::kOverlayTriggerIdleCores) {
-      for (;;) {
-        CoreSet eligible(cores_);
-        for (const InFlight& fl : inflight) {
-          if (fl.live && !fl.overlay &&
-              host_mem_intensity(programs[fl.tenant]->graph().node(
-                  fl.node)) < kComputeBoundCutoff) {
-            eligible = eligible.union_with(fl.cores);
-          }
-        }
-        eligible = eligible.minus(overlaid);
-        if (eligible.empty() || !any_ready()) break;
-        const double d0 = wall_time_ms();
-        const auto d = policy_.next_overlay_multi(
-            tenant_views, static_cast<int>(eligible.count()), views());
-        sched_total += wall_time_ms() - d0;
-        if (!d.has_value()) break;
-        const auto width = static_cast<std::size_t>(
-            std::max(1, d->decision.candidate.threads));
-        launch(d->tenant, d->decision.ready_pos, d->decision.candidate,
-               eligible.take_lowest(width), /*overlay=*/true,
-               d->decision.op_token);
-      }
-    }
-
-    // ---- wait for (at least) one async completion ----
-    if (remaining_total == 0) break;  // everything finished inline
-    if (inflight_count == 0) {
-      if (any_ready()) continue;  // inline completions refilled a queue
-      throw std::logic_error(
-          "HostCorunExecutor: deadlock — nothing running but nodes remain");
-    }
-    board.wait(consumed);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      double end_wall = 0.0;
-      if (board.take(lane, end_wall)) {
-        ++consumed;
-        complete(lane, end_wall);
-      }
-    }
-  }
-
-  for (std::size_t t = 0; t < tenants; ++t) {
-    results[t].sched_ms = sched_total;
-    finalize_step(results[t], last_completion[t] - t0, *programs[t]);
-  }
+  std::vector<const Graph*> graphs;
+  graphs.reserve(tenants);
+  for (HostGraphProgram* program : programs)
+    graphs.push_back(&program->graph());
+  Step step(programs, cores_);
+  step_ = &step;
+  std::vector<StepResult> results = run_step_loop(graphs, set);
+  step_ = nullptr;
+  for (std::size_t t = 0; t < tenants; ++t)
+    results[t].checksum = programs[t]->step_checksum();
   return results;
+}
+
+double HostCorunExecutor::now_ms() const {
+  return wall_time_ms() - step_->t0;
+}
+
+CoreSet HostCorunExecutor::idle_cores() const {
+  return CoreSet::all(cores_).minus(step_->primary_busy).minus(
+      step_->overlaid);
+}
+
+void HostCorunExecutor::running_views(std::vector<RunningOpView>& out) const {
+  // Remaining time is predicted_ms minus elapsed wall-clock converted back
+  // to the controller's timescale through the learned calibration (1.0
+  // until the first completion: the guard only compares these values
+  // against each other, so a uniform scale error is harmless).
+  const double now = wall_time_ms();
+  const double calib = calib_ > 0.0 ? calib_ : 1.0;
+  for (const InFlightOp& op : in_flight()) {
+    if (!op.live) continue;
+    RunningOpView r;
+    r.key = op.key;
+    r.tenant = op.tenant;
+    r.op_token = op.op_token;
+    r.threads = static_cast<int>(op.cores.count());
+    const double elapsed_model = (now - op.start_ms) / calib;
+    r.remaining_ms = std::max(0.0, op.predicted_ms - elapsed_model);
+    out.push_back(r);
+  }
+}
+
+std::optional<OpCompletion> HostCorunExecutor::launch(std::size_t slot,
+                                                      InFlightOp& op,
+                                                      const Node& node,
+                                                      const Candidate& c) {
+  Step& step = *step_;
+  HostGraphProgram& program = *step.programs[op.tenant];
+  const double l0 = metrics_ != nullptr ? wall_time_ms() : 0.0;
+  const CoreSet& span = op.cores;
+  op.predicted_ms =
+      c.time_ms > 0.0 ? c.time_ms : controller_.predicted_time_ms(node);
+  const bool s4 =
+      overlays_supported() && (options_.strategies & kStrategy4) != 0;
+  if (s4) op.mem_intensity = host_mem_intensity(node);
+
+  // A saturating launch — empty machine, op takes every core — excludes
+  // any co-runner until it completes, so the dispatcher runs it inline:
+  // the async detour (launcher handoff + condvar round-trip) would sit on
+  // the critical path for nothing. FIFO executors pipeline that latency
+  // behind their second slot; without this, serial phases of the adaptive
+  // schedule would pay pure overhead against them. Only when no Strategy-4
+  // overlay could ride on it (overlays need the dispatcher free): S4 off
+  // or unsupported, or nothing else ready in ANY tenant's queue.
+  const bool inline_run = !op.overlay && step.primary_busy.empty() &&
+                          step.overlaid.empty() && !(s4 && any_ready()) &&
+                          span.count() == cores_;
+
+  // One pinned team per disjoint span. Overlays use slot 1 so an overlay
+  // whose (width, span) coincides with its primary's never shares the
+  // primary's (busy) team. Width-1 ops on the dispatcher-inline path use
+  // the workerless inline team — the dispatcher runs the kernel body
+  // itself, skipping the per-op dispatch round-trip that dominates tiny
+  // single-threaded ops. Async width-1 launches keep a pinned pool team:
+  // an inline team inherits the launcher thread's (absent) affinity,
+  // which would put the op on an OS-chosen core instead of its span.
+  // The per-lane cache makes the steady state (same op pattern -> same
+  // lane -> same span/width) a pointer compare instead of a pool lookup,
+  // and keeps re-waking the workers already pinned there.
+  ThreadTeam* team;
+  if (inline_run && span.count() == 1) {
+    team = &inline1_;
+  } else {
+    LaneTeam& cached = lane_teams_[slot];
+    const std::size_t team_slot = op.overlay ? 1 : 0;
+    if (cached.team != nullptr && cached.width == span.count() &&
+        cached.slot == team_slot && cached.span == span) {
+      team = cached.team;
+    } else {
+      team = &pool_.team_pinned(span.count(), span, team_slot);
+      cached = LaneTeam{team, span.count(), team_slot, span};
+    }
+  }
+  if (op.overlay) {
+    step.overlaid = step.overlaid.union_with(span);
+  } else {
+    step.primary_busy = step.primary_busy.union_with(span);
+  }
+  op.start_ms = wall_time_ms();
+  if (metrics_ != nullptr) {
+    if (op.overlay) {
+      m_overlay_launches_->inc();
+    } else if (inline_run) {
+      m_inline_launches_->inc();
+    } else {
+      m_team_launches_->inc();
+    }
+    m_lanes_inflight_->observe(static_cast<double>(in_flight_count()));
+    // Dispatch handoff cost: team resolution and lane setup up to the
+    // kernel handoff — kernel time excluded on every path.
+    m_launch_ms_->observe(wall_time_ms() - l0);
+  }
+  const NodeId node_id = node.id;
+  if (inline_run) {
+    program.run_node(node_id, *team);
+    const double end = wall_time_ms();
+    return OpCompletion{slot, end - step.t0, end - op.start_ms};
+  }
+  // Same-lane posting: the launcher that owns this span's lane runs the
+  // op and writes its own completion slot — no shared queue anywhere.
+  step.pad.launch_on(slot, [&program, &board = step.board, node_id, slot,
+                            team] {
+    program.run_node(node_id, *team);
+    board.post(slot, wall_time_ms());
+  });
+  return std::nullopt;
+}
+
+void HostCorunExecutor::wait(std::vector<OpCompletion>& out) {
+  Step& step = *step_;
+  step.board.wait(step.consumed);
+  for (std::size_t lane = 0; lane < 2 * cores_; ++lane) {
+    double end = 0.0;
+    if (step.board.take(lane, end)) {
+      ++step.consumed;
+      out.push_back(OpCompletion{lane, end - step.t0,
+                                 end - in_flight()[lane].start_ms});
+    }
+  }
+}
+
+double HostCorunExecutor::settle(const InFlightOp& op,
+                                 const OpCompletion& c) {
+  double expected_ms = std::numeric_limits<double>::infinity();
+  if (op.predicted_ms > 0.0) {
+    // Interference is judged against the calibration as it stood BEFORE
+    // this sample: folding the slow sample into the EWMA first would
+    // dilute the 2.5x bad-pair threshold toward unreachable.
+    if (calib_ > 0.0) expected_ms = op.predicted_ms * calib_;
+    // Overlays are excluded from the calibration: they run up to ~2.5x
+    // slow BY DESIGN, and folding that in would inflate every later
+    // expectation (recorder threshold, throughput-guard views).
+    if (!op.overlay) {
+      const double ratio = c.actual_ms / op.predicted_ms;
+      calib_ = calib_ == 0.0 ? ratio
+                             : (1.0 - host_.calibration_alpha) * calib_ +
+                                   host_.calibration_alpha * ratio;
+    }
+  }
+
+  Step& step = *step_;
+  if (op.overlay) {
+    step.overlaid = step.overlaid.minus(op.cores);
+  } else {
+    step.primary_busy = step.primary_busy.minus(op.cores);
+  }
+
+  // One wall-clock span per completed op, on its tenant×lane track.
+  if (trace_ != nullptr) {
+    const Node& node = step.programs[op.tenant]->graph().node(op.node);
+    obs::TraceSpan span;
+    span.name = node.label.empty() ? std::string(op_kind_name(node.kind))
+                                   : node.label;
+    span.cat = op.overlay ? "op.overlay" : "op";
+    span.pid = trace_pid_;
+    span.tid = static_cast<std::uint32_t>(op.tenant * 2 * cores_ + c.slot);
+    span.start_ms = op.start_ms;
+    span.dur_ms = c.actual_ms;
+    trace_->span(std::move(span));
+  }
+  return expected_ms;
 }
 
 StepResult HostCorunExecutor::run_step_fifo(HostGraphProgram& program,
@@ -540,9 +389,8 @@ StepResult HostCorunExecutor::run_step_fifo(HostGraphProgram& program,
   std::deque<NodeId> ready(tracker.initially_ready().begin(),
                            tracker.initially_ready().end());
 
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<std::pair<std::size_t, double>> completions;  // (slot, end wall)
+  CompletionBoard board(slots);
+  std::size_t consumed = 0;
   std::vector<NodeId> slot_node(slots, kInvalidNode);
   std::vector<double> slot_start(slots, 0.0);
   std::size_t busy = 0;
@@ -566,14 +414,9 @@ StepResult HostCorunExecutor::run_step_fifo(HostGraphProgram& program,
       if (corun) ++stats.corun_launches;
       // Slot s always rides launcher lane s: FIFO slots are long-lived, so
       // the same launcher keeps serving the same team.
-      pad.launch_on(s, [&program, &mu, &cv, &completions, node_id, s, &team] {
+      pad.launch_on(s, [&program, &board, node_id, s, &team] {
         program.run_node(node_id, team);
-        const double end = wall_time_ms();
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          completions.emplace_back(s, end);
-        }
-        cv.notify_one();
+        board.post(s, wall_time_ms());
       });
     }
 
@@ -582,25 +425,26 @@ StepResult HostCorunExecutor::run_step_fifo(HostGraphProgram& program,
           "HostCorunExecutor: FIFO deadlock — nothing running but nodes "
           "remain");
     }
-    std::pair<std::size_t, double> comp;
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return !completions.empty(); });
-      comp = completions.front();
-      completions.pop_front();
+    board.wait(consumed);
+    for (std::size_t s = 0; s < slots; ++s) {
+      double end = 0.0;
+      if (!board.take(s, end)) continue;
+      ++consumed;
+      const NodeId done = slot_node[s];
+      slot_node[s] = kInvalidNode;
+      --busy;
+      stats.service_ms += end - slot_start[s];
+      stats.trace.record(end - t0, /*is_launch=*/false, done,
+                         g.node(done).kind, static_cast<int>(busy));
+      std::vector<NodeId> newly;
+      tracker.mark_done(done, newly);
+      for (NodeId nid : newly) ready.push_back(nid);
     }
-    const NodeId done = slot_node[comp.first];
-    slot_node[comp.first] = kInvalidNode;
-    --busy;
-    stats.service_ms += comp.second - slot_start[comp.first];
-    stats.trace.record(comp.second - t0, /*is_launch=*/false, done,
-                       g.node(done).kind, static_cast<int>(busy));
-    std::vector<NodeId> newly;
-    tracker.mark_done(done, newly);
-    for (NodeId nid : newly) ready.push_back(nid);
   }
 
-  finalize_step(stats, wall_time_ms() - t0, program);
+  stats.time_ms = wall_time_ms() - t0;
+  stats.mean_corun = stats.trace.mean_corun();
+  stats.checksum = program.step_checksum();
   return stats;
 }
 

@@ -1,49 +1,43 @@
-// HostCorunExecutor: the native execution path — one training step on REAL
-// threads running REAL tensor kernels (ops/kernels.hpp via
-// HostGraphProgram), scheduled by the same Strategy 1-4 admission logic
-// (AdmissionPolicy) that drives the simulator's CorunScheduler.
-//
-// The executor is a completion-driven scheduling loop, the paper's runtime
-// structure on a physical machine:
-//   - the dispatcher thread holds a core map of the host (idle / primary /
-//     overlaid) and asks the shared AdmissionPolicy what to launch whenever
-//     cores free up;
-//   - every admitted op gets a ThreadTeam of the chosen width pinned to a
-//     disjoint span of host cores (TeamPool::team_pinned), and is handed to
-//     a LaunchPad launcher so the dispatcher never blocks on a kernel;
-//   - Strategy 4 overlays small ops onto the cores of compute-bound
-//     primaries (hyper-thread-context sharing on the real machine; plain
-//     core sharing when SMT is off — either way, real contention);
-//   - completions return cores, feed newly-ready ops, and update an online
-//     calibration between the controller's predicted timescale and host
-//     wall-clock, which the Strategy 3 throughput guard and the
-//     interference recorder consume.
+// HostCorunExecutor: the native half of the adaptive step loop
+// (core/step_loop.hpp) — one training step on REAL threads running REAL
+// tensor kernels (ops/kernels.hpp via HostGraphProgram), scheduled by the
+// same loop and Strategy 1-4 AdmissionPolicy that drive the simulator's
+// CorunScheduler. This class supplies what a physical machine does
+// differently:
+//   - a core map of the host (idle / primary / overlaid);
+//   - launches: every admitted op gets a ThreadTeam of the chosen width
+//     pinned to a disjoint span of host cores (TeamPool::team_pinned) and
+//     is handed to a LaunchPad launcher so the dispatcher never blocks on a
+//     kernel — except a saturating launch on an otherwise-empty machine,
+//     which runs inline on the dispatcher;
+//   - completions: launchers post to a sharded completion board the
+//     dispatcher drains, several per wake;
+//   - time: a running op's remaining time and a completion's expected time
+//     come from an online calibration between the controller's predicted
+//     timescale and host wall-clock, which the Strategy 3 throughput guard
+//     and the interference recorder consume.
+// Strategy 4 overlays small ops onto the cores of compute-bound primaries
+// (hyper-thread-context sharing on the real machine; plain core sharing
+// when SMT is off — either way, real contention).
 //
 // Multi-tenancy: run_step_multi schedules N independent training graphs
-// (one HostGraphProgram per tenant, each with its own ready queue and
-// dependency tracker) over ONE shared core map. The AdmissionPolicy's
-// weighted-deficit walk arbitrates which tenant's ready op claims idle
-// cores, so several jobs genuinely interleave on the machine instead of
-// running back-to-back — the shared-host serving setting of multi-tenant
-// DNN schedulers, driven by the paper's Strategy 1-4 runtime. Single-step
+// (one HostGraphProgram per tenant) over ONE shared core map, ops
+// interleaving under the policy's weighted-deficit walk. Single-step
 // run_step is the N=1 case of the same loop.
 //
 // What it measures: real step wall-clock under runtime concurrency control,
 // including every cost the simulator only models — team reuse vs. spawn,
 // cache contention between co-runners, dispatch serialization. See
-// docs/HOST_EXECUTION.md for how this path relates to the simulator and to
-// HostReplayExecutor.
+// docs/HOST_EXECUTION.md for how this path relates to the simulator.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/admission_policy.hpp"
-#include "core/corun_scheduler.hpp"  // StepResult
+#include "core/step_loop.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "ops/host_program.hpp"
-#include "threading/launch_pad.hpp"
 #include "threading/team_pool.hpp"
 
 namespace opsched {
@@ -69,7 +63,7 @@ struct HostCorunOptions {
 /// Thread-safety: the run_step entry points must be called from one thread
 /// at a time; the executor spawns and joins its own launcher threads
 /// internally.
-class HostCorunExecutor {
+class HostCorunExecutor : public AdaptiveStepLoop {
  public:
   HostCorunExecutor(const ConcurrencyController& controller, TeamPool& pool,
                     RuntimeOptions options, HostCorunOptions host = {});
@@ -110,20 +104,6 @@ class HostCorunExecutor {
   /// The paper's recommendation baseline (inter=1, intra=all cores).
   StepResult run_step_recommendation(HostGraphProgram& program);
 
-  std::size_t recorded_bad_pairs() const {
-    return policy_.recorded_bad_pairs();
-  }
-  void reset_learning() { policy_.reset_learning(); }
-
-  /// Forgets stable tenant id `id`'s learned state and fairness deficit
-  /// (see AdmissionPolicy::retire_tenant) — the serving layer calls this
-  /// when a job leaves for good.
-  void retire_tenant(std::size_t id) { policy_.retire_tenant(id); }
-
-  /// The shared Strategy 1-4 admission logic (same component the simulator
-  /// scheduler embeds). Exposed for the drift tests.
-  const AdmissionPolicy& policy() const noexcept { return policy_; }
-
   /// Attaches fleet telemetry. `reg` (may be null) receives the host_*
   /// metric family — launch counters by mode, dispatch handoff latency,
   /// lane occupancy — qualified with {shard="<instance>"} when `instance`
@@ -143,20 +123,19 @@ class HostCorunExecutor {
   std::size_t cores() const noexcept { return cores_; }
 
  private:
-  struct InFlight {
-    NodeId node = kInvalidNode;
-    std::size_t tenant = 0;
-    OpKey key;
-    CoreSet cores;
-    bool overlay = false;
-    bool live = false;  // lane occupied (in-flight records are lane-indexed)
-    /// Policy arena id from the admission decision, passed back in the
-    /// running views so per-wake snapshots skip the arena lookup.
-    std::uint32_t op_token = kNoOpToken;
-    double predicted_ms = 0.0;  // controller timescale
-    double start_wall_ms = 0.0;
-    std::vector<TenantOpKey> corunners;
-  };
+  /// Per-step dispatcher state (completion board, launch pad, core map).
+  struct Step;
+
+  std::size_t width() const override { return cores_; }
+  double now_ms() const override;
+  CoreSet idle_cores() const override;
+  bool overlays_supported() const override { return cores_ >= 2; }
+  void running_views(std::vector<RunningOpView>& out) const override;
+  std::optional<OpCompletion> launch(std::size_t slot, InFlightOp& op,
+                                     const Node& node,
+                                     const Candidate& c) override;
+  void wait(std::vector<OpCompletion>& out) override;
+  double settle(const InFlightOp& op, const OpCompletion& c) override;
 
   /// Persistent-team affinity: the last team each lane launched, so a lane
   /// re-running the same (width, span) skips the TeamPool lock + hash and
@@ -170,10 +149,9 @@ class HostCorunExecutor {
 
   const ConcurrencyController& controller_;
   TeamPool& pool_;
-  RuntimeOptions options_;
   HostCorunOptions host_;
   std::size_t cores_;
-  AdmissionPolicy policy_;
+  Step* step_ = nullptr;  // the running step's state
   /// Workerless width-1 team shared by all single-threaded launches (an
   /// inline team holds no mutable state, so concurrent use is safe).
   ThreadTeam inline1_{1, CoreSet(), /*inline_single=*/true};

@@ -8,14 +8,19 @@
 //   - simulated: profile() + run_step()/run_step_fifo() on the SimMachine
 //     (regenerates the paper's tables; deterministic virtual time);
 //   - native host: profile_host() + run_step_host()/run_step_host_fifo(),
-//     which time and run the REAL tensor kernels on real pinned threads via
-//     HostCorunExecutor. Same ConcurrencyController, same AdmissionPolicy
-//     logic, real wall-clock.
+//     which time and run the REAL tensor kernels on real pinned threads
+//     (real wall-clock).
+// The paired entry points share their bodies: both profile paths run one
+// hill-climb loop (profile_graphs) that differs only in the measurement,
+// and both adaptive step paths run one AdaptiveStepLoop
+// (core/step_loop.hpp), of which CorunScheduler and HostCorunExecutor are
+// the substrate halves, over one ConcurrencyController.
 // Profiles land in the one PerfDatabase keyed by (kind, shapes), and the
 // two substrates' timescales differ wildly — use one Runtime per substrate
 // (or call reset-free profile()/profile_host() for disjoint graphs only).
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "core/corun_scheduler.hpp"
@@ -149,6 +154,18 @@ class Runtime {
   CorunScheduler& scheduler() noexcept { return *scheduler_; }
 
  private:
+  /// One measurement of node `n` of graph `tenant` at a sampled width.
+  using TenantMeasureFn = std::function<double(
+      std::size_t tenant, const Node& n, int threads, AffinityMode mode)>;
+
+  /// The profiling body of profile_multi and profile_host_multi: hill-climbs
+  /// every not-yet-profiled tunable op of `graphs` with `measure` (interval
+  /// from the options, width range and modes from `params`), then rebuilds
+  /// the decisions over the union.
+  ProfilingReport profile_graphs(const std::vector<const Graph*>& graphs,
+                                 HillClimbParams params,
+                                 const TenantMeasureFn& measure);
+
   RuntimeOptions options_;
   MachineSpec spec_;
   CostModel model_;

@@ -1,56 +1,33 @@
 #include "core/trace_export.hpp"
 
-#include <fstream>
-#include <map>
-#include <sstream>
-#include <stdexcept>
-
-#include "util/json.hpp"
+#include <vector>
 
 namespace opsched {
 
-std::string trace_to_chrome_json(const EventTrace& trace, const Graph& g) {
-  std::map<NodeId, double> start_ms;
-  // Track concurrency lanes so overlapping ops get distinct rows.
-  std::map<NodeId, int> lane_of;
+void append_trace_spans(const EventTrace& trace, const Graph& g,
+                        obs::TraceCollector& out, std::uint32_t pid) {
+  std::vector<double> start_ms(g.size(), 0.0);
+  std::vector<int> lane_of(g.size(), -1);  // -1: not launched
   std::vector<bool> lane_busy;
-
-  std::ostringstream os;
-  os << "[";
-  bool first = true;
   for (const TraceEvent& e : trace.events()) {
     if (e.is_launch) {
-      start_ms[e.node] = e.time_ms;
       std::size_t lane = 0;
       while (lane < lane_busy.size() && lane_busy[lane]) ++lane;
       if (lane == lane_busy.size()) lane_busy.push_back(false);
       lane_busy[lane] = true;
+      start_ms[e.node] = e.time_ms;
       lane_of[e.node] = static_cast<int>(lane);
       continue;
     }
-    const auto it = start_ms.find(e.node);
-    if (it == start_ms.end()) continue;  // finish without launch: skip
-    const double dur_us = (e.time_ms - it->second) * 1000.0;
+    const int lane = lane_of[e.node];
+    if (lane < 0) continue;
     const Node& node = g.node(e.node);
-    if (!first) os << ",";
-    first = false;
-    os << "\n{\"name\":\"" << json::escape(node.label) << "\",\"cat\":\""
-       << op_kind_name(node.kind) << "\",\"ph\":\"X\",\"ts\":"
-       << json::number(it->second * 1000.0) << ",\"dur\":"
-       << json::number(dur_us) << ",\"pid\":1,\"tid\":" << lane_of[e.node]
-       << "}";
-    lane_busy[static_cast<std::size_t>(lane_of[e.node])] = false;
-    start_ms.erase(it);
+    out.span(obs::TraceSpan{node.label, std::string(op_kind_name(node.kind)),
+                            pid, static_cast<std::uint32_t>(lane),
+                            start_ms[e.node], e.time_ms - start_ms[e.node]});
+    lane_busy[static_cast<std::size_t>(lane)] = false;
+    lane_of[e.node] = -1;
   }
-  os << "\n]\n";
-  return os.str();
-}
-
-void write_chrome_trace(const std::string& path, const EventTrace& trace,
-                        const Graph& g) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("write_chrome_trace: cannot open " + path);
-  out << trace_to_chrome_json(trace, g);
 }
 
 }  // namespace opsched

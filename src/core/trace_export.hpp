@@ -1,24 +1,22 @@
-// Schedule trace export in Chrome tracing format (chrome://tracing /
-// Perfetto): every executed op becomes a complete event on the row of its
-// first core, so the co-running structure the scheduler produced can be
-// inspected visually.
+// Schedule traces as Chrome-tracing spans: every executed op of a step's
+// EventTrace becomes one span on the lowest concurrency lane free at its
+// launch, so the co-running structure the scheduler produced can be
+// inspected visually. JSON and file output go through obs::TraceCollector.
 #pragma once
 
-#include <string>
+#include <cstdint>
 
 #include "graph/graph.hpp"
 #include "machine/sim_machine.hpp"
+#include "obs/trace.hpp"
 
 namespace opsched {
 
-/// Serializes a step's event trace as a Chrome-tracing JSON array.
+/// Appends one span per op of `trace` to `out` under process `pid`: name =
+/// the op label, category = the op kind, tid = its concurrency lane.
 /// Launch/finish pairs are matched per node id (a node executes once per
-/// step). Durations and timestamps are microseconds as the format demands.
-std::string trace_to_chrome_json(const EventTrace& trace, const Graph& g);
-
-/// Writes trace_to_chrome_json to a file; throws std::runtime_error when
-/// the file cannot be opened.
-void write_chrome_trace(const std::string& path, const EventTrace& trace,
-                        const Graph& g);
+/// step); a finish without a launch is skipped.
+void append_trace_spans(const EventTrace& trace, const Graph& g,
+                        obs::TraceCollector& out, std::uint32_t pid = 1);
 
 }  // namespace opsched

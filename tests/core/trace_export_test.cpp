@@ -1,4 +1,5 @@
-// Chrome-tracing export of schedule traces.
+// Schedule traces as Chrome-tracing spans (append_trace_spans). JSON
+// export itself is obs::TraceCollector's contract (tests/obs/trace_test).
 #include "core/trace_export.hpp"
 
 #include <gtest/gtest.h>
@@ -13,15 +14,6 @@
 namespace opsched {
 namespace {
 
-TEST(TraceExport, EmptyTraceIsEmptyArray) {
-  const Graph g;
-  EventTrace trace;
-  const std::string json = trace_to_chrome_json(trace, g);
-  EXPECT_EQ(json.find('['), 0u);
-  EXPECT_NE(json.find(']'), std::string::npos);
-  EXPECT_EQ(json.find("\"ph\""), std::string::npos);
-}
-
 TEST(TraceExport, PairsLaunchAndFinish) {
   GraphBuilder gb;
   const NodeId a =
@@ -31,71 +23,39 @@ TEST(TraceExport, PairsLaunchAndFinish) {
   EventTrace trace;
   trace.record(1.0, true, a, OpKind::kConv2D, 1);
   trace.record(3.5, false, a, OpKind::kConv2D, 0);
-  const std::string json = trace_to_chrome_json(trace, g);
-  EXPECT_NE(json.find("\"name\":\"my_op\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ts\":1000"), std::string::npos);   // ms -> us
-  EXPECT_NE(json.find("\"dur\":2500"), std::string::npos);
-  EXPECT_NE(json.find("\"cat\":\"Conv2D\""), std::string::npos);
+  obs::TraceCollector tc;
+  append_trace_spans(trace, g, tc);
+  const std::vector<obs::TraceSpan> spans = tc.spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "my_op");
+  EXPECT_EQ(spans[0].cat, "Conv2D");
+  EXPECT_EQ(spans[0].pid, 1u);
+  EXPECT_DOUBLE_EQ(spans[0].start_ms, 1.0);
+  EXPECT_DOUBLE_EQ(spans[0].dur_ms, 2.5);
 }
 
 TEST(TraceExport, OverlappingOpsGetDistinctLanes) {
   GraphBuilder gb;
   const NodeId a = gb.source(OpKind::kConv2D, "a", TensorShape{2, 4, 4, 8});
   const NodeId b = gb.source(OpKind::kConv2D, "b", TensorShape{2, 4, 4, 8});
+  const NodeId c = gb.source(OpKind::kConv2D, "c", TensorShape{2, 4, 4, 8});
   const Graph g = gb.take();
 
   EventTrace trace;
   trace.record(0.0, true, a, OpKind::kConv2D, 1);
   trace.record(0.5, true, b, OpKind::kConv2D, 2);
   trace.record(1.0, false, a, OpKind::kConv2D, 1);
-  trace.record(1.5, false, b, OpKind::kConv2D, 0);
-  const std::string json = trace_to_chrome_json(trace, g);
-  EXPECT_NE(json.find("\"tid\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"tid\":1"), std::string::npos);
-}
-
-TEST(TraceExport, EscapesQuotesInLabels) {
-  GraphBuilder gb;
-  const NodeId a =
-      gb.source(OpKind::kConv2D, "weird\"label", TensorShape{2, 4, 4, 8});
-  const Graph g = gb.take();
-  EventTrace trace;
-  trace.record(0.0, true, a, OpKind::kConv2D, 1);
-  trace.record(1.0, false, a, OpKind::kConv2D, 0);
-  const std::string json = trace_to_chrome_json(trace, g);
-  EXPECT_NE(json.find("weird\\\"label"), std::string::npos);
-}
-
-TEST(TraceExport, AdversarialLabelsStillParse) {
-  // Backslashes, embedded quotes, newlines, tabs and raw control bytes in
-  // op labels must all survive into VALID JSON (chrome://tracing rejects
-  // the whole file otherwise).
-  GraphBuilder gb;
-  const NodeId a = gb.source(OpKind::kConv2D, "conv\\bwd \"grad\"",
-                             TensorShape{2, 4, 4, 8});
-  const NodeId b = gb.source(OpKind::kMatMul, "mm\nline\ttab\x01ctl",
-                             TensorShape{2, 4, 4, 8});
-  const Graph g = gb.take();
-  EventTrace trace;
-  trace.record(0.0, true, a, OpKind::kConv2D, 1);
-  trace.record(0.5, true, b, OpKind::kMatMul, 2);
-  trace.record(1.0, false, a, OpKind::kConv2D, 1);
-  trace.record(1.5, false, b, OpKind::kMatMul, 0);
-
-  const json::JsonValue doc = json::parse(trace_to_chrome_json(trace, g));
-  ASSERT_EQ(doc.kind, json::JsonValue::Kind::kArray);
-  ASSERT_EQ(doc.array->size(), 2u);
-  EXPECT_EQ(json::str_member((*doc.array)[0], "name"), "conv\\bwd \"grad\"");
-  EXPECT_EQ(json::str_member((*doc.array)[1], "name"), "mm\nline\ttab\x01ctl");
-}
-
-TEST(TraceExport, EmptyTraceParsesAsEmptyArray) {
-  const Graph g;
-  EventTrace trace;
-  const json::JsonValue doc = json::parse(trace_to_chrome_json(trace, g));
-  ASSERT_EQ(doc.kind, json::JsonValue::Kind::kArray);
-  EXPECT_TRUE(doc.array->empty());
+  trace.record(1.2, true, c, OpKind::kConv2D, 2);  // reuses a's free lane
+  trace.record(1.5, false, b, OpKind::kConv2D, 1);
+  trace.record(2.0, false, c, OpKind::kConv2D, 0);
+  obs::TraceCollector tc;
+  append_trace_spans(trace, g, tc, /*pid=*/3);
+  const std::vector<obs::TraceSpan> spans = tc.spans();
+  ASSERT_EQ(spans.size(), 3u);  // in finish order: a, b, c
+  EXPECT_EQ(spans[0].tid, 0u);
+  EXPECT_EQ(spans[1].tid, 1u);
+  EXPECT_EQ(spans[2].tid, 0u);
+  EXPECT_EQ(spans[2].pid, 3u);
 }
 
 TEST(TraceExport, FullStepTraceRoundTripsToFile) {
@@ -104,21 +64,22 @@ TEST(TraceExport, FullStepTraceRoundTripsToFile) {
   rt.profile(g);
   const StepResult r = rt.run_step(g);
 
+  obs::TraceCollector tc;
+  append_trace_spans(r.trace, g, tc);
   const std::string path = std::string(::testing::TempDir()) + "/trace.json";
-  write_chrome_trace(path, r.trace, g);
+  tc.write(path);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
+  const std::string content((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
   // One complete event per executed op.
+  const json::JsonValue doc = json::parse(content);
+  ASSERT_EQ(doc.kind, json::JsonValue::Kind::kArray);
   std::size_t events = 0;
-  for (std::size_t pos = 0; (pos = content.find("\"ph\":\"X\"", pos)) !=
-                            std::string::npos;
-       ++pos)
-    ++events;
+  for (const json::JsonValue& e : *doc.array) {
+    if (json::str_member(e, "ph") == "X") ++events;
+  }
   EXPECT_EQ(events, g.size());
-  EXPECT_THROW(write_chrome_trace("/no-such-dir-xyz/t.json", r.trace, g),
-               std::runtime_error);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // util/json so escaping bugs fail loudly.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "obs/trace.hpp"
@@ -85,6 +86,12 @@ TEST(TraceCollector, ClearResetsEverything) {
   EXPECT_EQ(tc.size(), 0u);
   const json::JsonValue doc = json::parse(tc.to_chrome_json());
   EXPECT_TRUE(doc.array->empty());
+}
+
+TEST(TraceCollector, WriteToUnwritablePathThrows) {
+  TraceCollector tc;
+  tc.span({"a", "b", 1, 0, 0.0, 1.0});
+  EXPECT_THROW(tc.write("/no-such-dir-xyz/t.json"), std::runtime_error);
 }
 
 }  // namespace
