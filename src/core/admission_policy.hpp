@@ -229,10 +229,10 @@ class AdmissionPolicy {
   /// ready_pos relative to the queue AFTER those picks are erased — apply
   /// the batch in order. Each pick charges the fairness ledger exactly as
   /// the one-at-a-time walk does; max_launches == 1 is next_launch_multi
-  /// (the simulator's decision-per-wake). The decision stream an executor
-  /// sees differs from calling next_launch_multi per launch only through
-  /// the snapshot staleness within a batch — which can never change
-  /// numerics, only schedule shape (the determinism contract).
+  /// (the simulator's one launch per snapshot). The decision stream an
+  /// executor sees differs from calling next_launch_multi per launch only
+  /// through the snapshot staleness within a batch — which can never
+  /// change numerics, only schedule shape (the determinism contract).
   std::vector<MultiAdmissionDecision> next_launch_batch(
       const std::vector<TenantReadyView>& tenants, int idle_cores,
       const std::vector<RunningOpView>& running,

@@ -9,8 +9,8 @@
 //     moves the virtual clock;
 //   - a running op's remaining time is its remaining work at its current
 //     rate, and a completion is judged against its interference-free time.
-// The simulator decides one launch per wake (decision batch 1), so every
-// decision sees the rates of all earlier launches.
+// The simulator decides one launch per snapshot (decision batch 1), so
+// every decision sees the rates of all earlier launches.
 #pragma once
 
 #include <vector>

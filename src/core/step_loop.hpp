@@ -9,7 +9,7 @@
 // Per wake (step start and after every completion batch):
 //   Strategies 1-3: while cores are idle, ask the policy for a batch of
 //   launches against one running-view snapshot and launch each on the
-//   lowest idle cores. The simulator decides one launch per wake
+//   lowest idle cores. The simulator decides one launch per snapshot
 //   (decision batch 1): batching decides later picks against a snapshot
 //   that has not seen the earlier picks' real rates, which changes the
 //   simulated schedule. The host amortizes the snapshot over
