@@ -5,7 +5,7 @@
 namespace opsched {
 
 void append_trace_spans(const EventTrace& trace, const Graph& g,
-                        obs::TraceCollector& out, std::uint32_t pid) {
+                        obs::TraceCollector& out) {
   std::vector<double> start_ms(g.size(), 0.0);
   std::vector<int> lane_of(g.size(), -1);  // -1: not launched
   std::vector<bool> lane_busy;
@@ -23,7 +23,7 @@ void append_trace_spans(const EventTrace& trace, const Graph& g,
     if (lane < 0) continue;
     const Node& node = g.node(e.node);
     out.span(obs::TraceSpan{node.label, std::string(op_kind_name(node.kind)),
-                            pid, static_cast<std::uint32_t>(lane),
+                            1, static_cast<std::uint32_t>(lane),
                             start_ms[e.node], e.time_ms - start_ms[e.node]});
     lane_busy[static_cast<std::size_t>(lane)] = false;
     lane_of[e.node] = -1;

@@ -49,13 +49,12 @@ TEST(TraceExport, OverlappingOpsGetDistinctLanes) {
   trace.record(1.5, false, b, OpKind::kConv2D, 1);
   trace.record(2.0, false, c, OpKind::kConv2D, 0);
   obs::TraceCollector tc;
-  append_trace_spans(trace, g, tc, /*pid=*/3);
+  append_trace_spans(trace, g, tc);
   const std::vector<obs::TraceSpan> spans = tc.spans();
   ASSERT_EQ(spans.size(), 3u);  // in finish order: a, b, c
   EXPECT_EQ(spans[0].tid, 0u);
   EXPECT_EQ(spans[1].tid, 1u);
   EXPECT_EQ(spans[2].tid, 0u);
-  EXPECT_EQ(spans[2].pid, 3u);
 }
 
 TEST(TraceExport, FullStepTraceRoundTripsToFile) {
