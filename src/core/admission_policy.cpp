@@ -756,7 +756,7 @@ std::vector<MultiAdmissionDecision> AdmissionPolicy::next_launch_batch(
   picked.resize(tenants.size());
   for (auto& p : picked) p.clear();
   int idle = idle_cores;
-  while (batch.size() < max_launches && idle > 0) {
+  while (idle > 0) {
     auto d = pick_once(tenants, idle, running_scratch_, picked, stats);
     if (!d.has_value()) break;
     const std::size_t t = d->tenant;
@@ -772,6 +772,7 @@ std::vector<MultiAdmissionDecision> AdmissionPolicy::next_launch_batch(
     MultiAdmissionDecision out = *d;
     out.decision.ready_pos = shifted;
     batch.push_back(out);
+    if (batch.size() == max_launches) break;
 
     // Model the pick as launched for the rest of the batch: its width
     // leaves the idle pool and it joins the running snapshot at its

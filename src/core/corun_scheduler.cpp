@@ -32,9 +32,8 @@ std::vector<StepResult> CorunScheduler::run_step_multi(
 
 void CorunScheduler::running_views(std::vector<RunningOpView>& out) const {
   for (const auto& task : machine_->running()) {
-    const bool overlay = task.launch_kind == LaunchKind::kOverlay;
-    const InFlightOp& op =
-        in_flight()[2 * task.cores.lowest() + (overlay ? 1 : 0)];
+    const InFlightOp& op = in_flight()[slot_of(
+        task.cores, task.launch_kind == LaunchKind::kOverlay)];
     RunningOpView v;
     v.tenant = op.tenant;
     v.key = op.key;
@@ -49,9 +48,8 @@ std::optional<OpCompletion> CorunScheduler::launch(std::size_t,
                                                    InFlightOp& op,
                                                    const Node& node,
                                                    const Candidate& c) {
-  op.task = machine_->launch(
-      node, c.threads, c.mode, op.cores,
-      op.overlay ? LaunchKind::kOverlay : LaunchKind::kExclusive);
+  machine_->launch(node, c.threads, c.mode, op.cores,
+                   op.overlay ? LaunchKind::kOverlay : LaunchKind::kExclusive);
   op.mem_intensity = machine_->running().back().mem_intensity;
   return std::nullopt;
 }
@@ -62,11 +60,9 @@ void CorunScheduler::wait(std::vector<OpCompletion>& out) {
     throw std::logic_error(
         "CorunScheduler: deadlock — nothing running but nodes remain");
   }
-  std::size_t slot = 0;
-  while (!in_flight()[slot].live || in_flight()[slot].task != comp->id)
-    ++slot;
-  out.push_back(
-      OpCompletion{slot, comp->finish_ms, comp->actual_ms, comp->solo_ms});
+  out.push_back(OpCompletion{
+      slot_of(comp->cores, comp->launch_kind == LaunchKind::kOverlay),
+      comp->finish_ms, comp->actual_ms, comp->solo_ms});
 }
 
 }  // namespace opsched

@@ -140,7 +140,7 @@ void AdaptiveStepLoop::launch_op(std::size_t tenant,
   const NodeId node_id = ready_[tenant][d.ready_pos];
   ready_[tenant].erase(d.ready_pos);
   const Node& node = (*graphs_)[tenant]->node(node_id);
-  const std::size_t slot = 2 * span.lowest() + (overlay ? 1 : 0);
+  const std::size_t slot = slot_of(span, overlay);
 
   InFlightOp& op = in_flight_[slot];
   op.corunners.clear();

@@ -84,7 +84,6 @@ struct InFlightOp {
   double mem_intensity = 0.0;  // Strategy 4 eligibility of a primary
   double predicted_ms = 0.0;   // host: controller-timescale prediction
   double start_ms = 0.0;       // host: wall-clock launch time
-  std::uint64_t task = 0;      // simulator: SimMachine task id
 };
 
 /// One finished op, as its substrate reports it.
@@ -158,6 +157,10 @@ class AdaptiveStepLoop {
   /// judges its actual duration.
   virtual double settle(const InFlightOp& op, const OpCompletion& c) = 0;
 
+  /// The in-flight slot of the op launched on `cores`.
+  static std::size_t slot_of(const CoreSet& cores, bool overlay) {
+    return 2 * cores.lowest() + (overlay ? 1 : 0);
+  }
   const std::vector<InFlightOp>& in_flight() const noexcept {
     return in_flight_;
   }

@@ -193,6 +193,8 @@ std::optional<SimMachine::Completion> SimMachine::advance() {
   Completion c;
   c.id = done.id;
   c.node = done.node;
+  c.cores = done.cores;
+  c.launch_kind = done.launch_kind;
   c.finish_ms = now_ms_;
   c.solo_ms = done.solo_ms;
   c.actual_ms = now_ms_ - done.start_ms;

@@ -87,6 +87,8 @@ class SimMachine {
   struct Completion {
     TaskId id = 0;
     NodeId node = kInvalidNode;
+    CoreSet cores;  // as launched
+    LaunchKind launch_kind = LaunchKind::kExclusive;
     double finish_ms = 0.0;
     double solo_ms = 0.0;
     double actual_ms = 0.0;  // includes interference/HT slowdown
