@@ -81,8 +81,6 @@ class ReadyTracker {
   /// Number of nodes not yet completed.
   std::size_t remaining() const noexcept { return remaining_; }
 
-  bool is_done(NodeId id) const { return done_.at(id); }
-
  private:
   const Graph& graph_;
   std::vector<std::uint32_t> pending_inputs_;
