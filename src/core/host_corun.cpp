@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <deque>
 #include <limits>
-#include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "ops/work_profile.hpp"
-#include "threading/launch_pad.hpp"
+#include "threading/spin.hpp"
 #include "util/clock.hpp"
 
 namespace opsched {
@@ -31,45 +31,30 @@ double host_mem_intensity(const Node& node) {
 }
 
 /// Sharded completion posting: one cache-line-aligned slot per launch lane,
-/// so launcher threads finishing concurrently each write their own line and
-/// never contend a shared mutex/deque. A lane (an adaptive span's lane or a
+/// so lanes finishing concurrently each write their own line and
+/// never contend a shared queue. A lane (an adaptive span's lane or a
 /// FIFO slot) has at most one op in flight — it stays busy until the
 /// dispatcher consumes the completion — so a slot is written at most once
 /// between reads by construction.
 ///
-/// Wakeup is a Dekker handshake on (posted_, sleeping_): posters bump
-/// posted_ then check whether the dispatcher announced it was going to
-/// sleep; the dispatcher announces, then re-checks posted_ under the mutex
-/// before actually sleeping. Both sides use seq_cst so at least one of them
-/// observes the other — the mutex is only ever touched on the empty-board
-/// edge, never on the per-completion fast path.
+/// posted_ counts posts: the dispatcher polls it for a spin window, then
+/// parks on it, and a post pays for a futex wake only when the dispatcher
+/// is parked (threading/spin.hpp).
 class CompletionBoard {
  public:
   explicit CompletionBoard(std::size_t lanes) : slots_(lanes) {}
 
-  /// Launcher side. Wait-free except when the dispatcher is asleep.
+  /// Lane side. Wait-free except when the dispatcher is asleep.
   void post(std::size_t lane, double end_ms) {
     Slot& s = slots_[lane];
     s.end_ms = end_ms;
     s.full.store(true, std::memory_order_release);
-    posted_.fetch_add(1, std::memory_order_seq_cst);
-    if (sleeping_.load(std::memory_order_seq_cst)) {
-      std::lock_guard<std::mutex> lock(mu_);
-      cv_.notify_one();
-    }
+    posted_.bump();
   }
 
   /// Dispatcher side: blocks until more than `consumed` posts happened.
   void wait(std::size_t consumed) {
-    if (posted_.load(std::memory_order_seq_cst) > consumed) return;
-    sleeping_.store(true, std::memory_order_seq_cst);
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] {
-        return posted_.load(std::memory_order_seq_cst) > consumed;
-      });
-    }
-    sleeping_.store(false, std::memory_order_relaxed);
+    posted_.await_change(static_cast<std::uint32_t>(consumed));
   }
 
   /// Dispatcher side: claims lane's completion if one is posted.
@@ -87,13 +72,111 @@ class CompletionBoard {
     double end_ms = 0.0;
   };
   std::vector<Slot> slots_;
-  std::atomic<std::size_t> posted_{0};
-  std::atomic<bool> sleeping_{false};
-  std::mutex mu_;
-  std::condition_variable cv_;
+  WaitWord posted_;  // wraps; compared with consumed mod 2^32
+};
+
+/// One launch lane: a thread that lives as long as its executor, pinned to
+/// one core or left to the OS. It leads the team of each op handed to it
+/// (runs chunk 0 itself), then posts the completion to its board slot and
+/// polls for its next op for a spin window before it parks. A
+/// lane holds one op at a time: the dispatcher hands it the next only after
+/// taking the previous completion off the board, which also orders the job
+/// fields between the two threads.
+class Lane {
+ public:
+  Lane(CompletionBoard& board, std::size_t index,
+       std::optional<std::size_t> core)
+      : board_(board), index_(index), thread_([this, core] {
+          if (core) pin_this_thread(*core);
+          loop();
+        }) {}
+  Lane(const Lane&) = delete;
+  Lane& operator=(const Lane&) = delete;
+
+  ~Lane() {
+    post(Job{});  // program == nullptr: exit
+    thread_.join();
+  }
+
+  void launch(HostGraphProgram& program, NodeId node, ThreadTeam& team) {
+    post(Job{&program, node, &team});
+  }
+
+ private:
+  struct Job {
+    HostGraphProgram* program = nullptr;
+    NodeId node = kInvalidNode;
+    ThreadTeam* team = nullptr;
+  };
+
+  void post(const Job& job) {
+    job_ = job;
+    seq_.bump();
+  }
+
+  void loop() {
+    std::uint32_t seen = 0;
+    for (;;) {
+      seen = seq_.await_change(seen);
+      const Job job = job_;
+      if (job.program == nullptr) return;
+      job.program->run_node(job.node, *job.team);
+      board_.post(index_, wall_time_ms());
+    }
+  }
+
+  CompletionBoard& board_;
+  const std::size_t index_;
+  Job job_;
+  WaitWord seq_;  // one bump per job
+  std::thread thread_;  // last: starts once the rest is initialised
 };
 
 }  // namespace
+
+struct HostCorunExecutor::Lanes {
+  /// `count` lanes; lane i is pinned to core i / 2 when `pinned`.
+  Lanes(std::size_t count, bool pinned) : board(count) {
+    lanes.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      lanes.push_back(std::make_unique<Lane>(
+          board, i,
+          pinned ? std::optional<std::size_t>(i / 2) : std::nullopt));
+    }
+  }
+
+  void launch(std::size_t lane, HostGraphProgram& program, NodeId node,
+              ThreadTeam& team) {
+    ++launched;
+    lanes[lane]->launch(program, node, team);
+  }
+
+  /// Blocks until at least one completion is posted, then hands every
+  /// posted one to done(lane, end_ms).
+  template <typename F>
+  void collect(F&& done) {
+    board.wait(consumed);
+    for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+      double end = 0.0;
+      if (board.take(lane, end)) {
+        ++consumed;
+        done(lane, end);
+      }
+    }
+  }
+
+  /// Waits out every op still running, dropping the completions.
+  void drain() {
+    while (consumed < launched) collect([](std::size_t, double) {});
+  }
+
+  CompletionBoard board;  // before the lanes, which post to it
+  std::vector<std::unique_ptr<Lane>> lanes;
+  std::size_t launched = 0;
+  std::size_t consumed = 0;
+};
+
+HostCorunExecutor::~HostCorunExecutor() = default;
 
 HostCorunExecutor::HostCorunExecutor(const ConcurrencyController& controller,
                                      TeamPool& pool, RuntimeOptions options,
@@ -110,7 +193,8 @@ HostCorunExecutor::HostCorunExecutor(const ConcurrencyController& controller,
   // Launch lanes: lane 2c runs the primary whose span starts at core c,
   // lane 2c+1 the overlay riding on core c. The mapping is collision-free
   // while an op is in flight (its span's lowest core stays busy), and it is
-  // what makes per-lane completion slots and per-lane team caches work.
+  // what makes per-lane completion slots, per-lane team caches and pinning
+  // the lane to its span's first core work.
   lane_teams_.resize(2 * cores_);
 }
 
@@ -145,22 +229,12 @@ void HostCorunExecutor::attach_observability(obs::Registry* reg,
 
 struct HostCorunExecutor::Step {
   Step(const std::vector<HostGraphProgram*>& programs, std::size_t cores)
-      : programs(programs),
-        board(2 * cores),
-        primary_busy(cores),
-        overlaid(cores),
-        pad(2 * cores) {}
+      : programs(programs), primary_busy(cores), overlaid(cores) {}
 
   const std::vector<HostGraphProgram*>& programs;
   const double t0 = wall_time_ms();
-  /// Sharded completion board shared with the launchers.
-  CompletionBoard board;
-  std::size_t consumed = 0;
   CoreSet primary_busy;
   CoreSet overlaid;
-  /// Declared after the state its jobs capture so its destructor joins the
-  /// launcher threads first.
-  LaunchPad pad;
 };
 
 StepResult HostCorunExecutor::run_step(HostGraphProgram& program) {
@@ -196,9 +270,19 @@ std::vector<StepResult> HostCorunExecutor::run_step_multi(
   graphs.reserve(tenants);
   for (HostGraphProgram* program : programs)
     graphs.push_back(&program->graph());
+  if (lanes_ == nullptr) lanes_ = std::make_unique<Lanes>(2 * cores_, true);
   Step step(programs, cores_);
   step_ = &step;
-  std::vector<StepResult> results = run_step_loop(graphs, set);
+  std::vector<StepResult> results;
+  try {
+    results = run_step_loop(graphs, set);
+  } catch (...) {
+    // The programs are only borrowed for this call: let every op still on
+    // a lane finish before the exception leaves.
+    lanes_->drain();
+    step_ = nullptr;
+    throw;
+  }
   step_ = nullptr;
   for (std::size_t t = 0; t < tenants; ++t)
     results[t].checksum = programs[t]->step_checksum();
@@ -250,8 +334,8 @@ std::optional<OpCompletion> HostCorunExecutor::launch(std::size_t slot,
 
   // A saturating launch — empty machine, op takes every core — excludes
   // any co-runner until it completes, so the dispatcher runs it inline:
-  // the async detour (launcher handoff + condvar round-trip) would sit on
-  // the critical path for nothing. FIFO executors pipeline that latency
+  // the async detour (lane wake + completion wake) would sit on the
+  // critical path for nothing. FIFO executors pipeline that latency
   // behind their second slot; without this, serial phases of the adaptive
   // schedule would pay pure overhead against them. Only when no Strategy-4
   // overlay could ride on it (overlays need the dispatcher free): S4 off
@@ -262,28 +346,22 @@ std::optional<OpCompletion> HostCorunExecutor::launch(std::size_t slot,
 
   // One pinned team per disjoint span. Overlays use slot 1 so an overlay
   // whose (width, span) coincides with its primary's never shares the
-  // primary's (busy) team. Width-1 ops on the dispatcher-inline path use
-  // the workerless inline team — the dispatcher runs the kernel body
-  // itself, skipping the per-op dispatch round-trip that dominates tiny
-  // single-threaded ops. Async width-1 launches keep a pinned pool team:
-  // an inline team inherits the launcher thread's (absent) affinity,
-  // which would put the op on an OS-chosen core instead of its span.
-  // The per-lane cache makes the steady state (same op pattern -> same
-  // lane -> same span/width) a pointer compare instead of a pool lookup,
-  // and keeps re-waking the workers already pinned there.
+  // primary's (busy) team. The team is led by whoever launches it — the
+  // dispatcher inline, else the lane pinned to the span's lowest core —
+  // and its helpers are pinned to the rest of the span, so a width-1 op
+  // runs on its leader alone, with no handoff at all. The per-lane cache
+  // makes the steady state (same op pattern -> same lane -> same
+  // span/width) a pointer compare instead of a pool lookup, and keeps
+  // re-waking the helpers already pinned there.
   ThreadTeam* team;
-  if (inline_run && span.count() == 1) {
-    team = &inline1_;
+  LaneTeam& cached = lane_teams_[slot];
+  const std::size_t team_slot = op.overlay ? 1 : 0;
+  if (cached.team != nullptr && cached.width == span.count() &&
+      cached.slot == team_slot && cached.span == span) {
+    team = cached.team;
   } else {
-    LaneTeam& cached = lane_teams_[slot];
-    const std::size_t team_slot = op.overlay ? 1 : 0;
-    if (cached.team != nullptr && cached.width == span.count() &&
-        cached.slot == team_slot && cached.span == span) {
-      team = cached.team;
-    } else {
-      team = &pool_.team_pinned(span.count(), span, team_slot);
-      cached = LaneTeam{team, span.count(), team_slot, span};
-    }
+    team = &pool_.team_pinned(span.count(), span, team_slot);
+    cached = LaneTeam{team, span.count(), team_slot, span};
   }
   if (op.overlay) {
     step.overlaid = step.overlaid.union_with(span);
@@ -310,27 +388,18 @@ std::optional<OpCompletion> HostCorunExecutor::launch(std::size_t slot,
     const double end = wall_time_ms();
     return OpCompletion{slot, end - step.t0, end - op.start_ms};
   }
-  // Same-lane posting: the launcher that owns this span's lane runs the
-  // op and writes its own completion slot — no shared queue anywhere.
-  step.pad.launch_on(slot, [&program, &board = step.board, node_id, slot,
-                            team] {
-    program.run_node(node_id, *team);
-    board.post(slot, wall_time_ms());
-  });
+  // The lane that owns this span's first core leads the op and writes its
+  // own completion slot — no shared queue anywhere.
+  lanes_->launch(slot, program, node_id, *team);
   return std::nullopt;
 }
 
 void HostCorunExecutor::wait(std::vector<OpCompletion>& out) {
-  Step& step = *step_;
-  step.board.wait(step.consumed);
-  for (std::size_t lane = 0; lane < 2 * cores_; ++lane) {
-    double end = 0.0;
-    if (step.board.take(lane, end)) {
-      ++step.consumed;
-      out.push_back(OpCompletion{lane, end - step.t0,
-                                 end - in_flight()[lane].start_ms});
-    }
-  }
+  const double t0 = step_->t0;
+  lanes_->collect([&](std::size_t lane, double end) {
+    out.push_back(
+        OpCompletion{lane, end - t0, end - in_flight()[lane].start_ms});
+  });
 }
 
 double HostCorunExecutor::settle(const InFlightOp& op,
@@ -389,12 +458,12 @@ StepResult HostCorunExecutor::run_step_fifo(HostGraphProgram& program,
   std::deque<NodeId> ready(tracker.initially_ready().begin(),
                            tracker.initially_ready().end());
 
-  CompletionBoard board(slots);
-  std::size_t consumed = 0;
+  if (fifo_lanes_ == nullptr || fifo_lanes_->lanes.size() < slots)
+    fifo_lanes_ = std::make_unique<Lanes>(slots, false);
+  Lanes& lanes = *fifo_lanes_;
   std::vector<NodeId> slot_node(slots, kInvalidNode);
   std::vector<double> slot_start(slots, 0.0);
   std::size_t busy = 0;
-  LaunchPad pad(slots);
 
   while (tracker.remaining() > 0) {
     for (std::size_t s = 0; s < slots && !ready.empty(); ++s) {
@@ -412,12 +481,9 @@ StepResult HostCorunExecutor::run_step_fifo(HostGraphProgram& program,
                          g.node(node_id).kind, static_cast<int>(busy));
       ++stats.ops_run;
       if (corun) ++stats.corun_launches;
-      // Slot s always rides launcher lane s: FIFO slots are long-lived, so
-      // the same launcher keeps serving the same team.
-      pad.launch_on(s, [&program, &board, node_id, s, &team] {
-        program.run_node(node_id, team);
-        board.post(s, wall_time_ms());
-      });
+      // Slot s always rides lane s: FIFO slots are long-lived, so the same
+      // lane keeps leading the same team.
+      lanes.launch(s, program, node_id, team);
     }
 
     if (busy == 0) {
@@ -425,11 +491,7 @@ StepResult HostCorunExecutor::run_step_fifo(HostGraphProgram& program,
           "HostCorunExecutor: FIFO deadlock — nothing running but nodes "
           "remain");
     }
-    board.wait(consumed);
-    for (std::size_t s = 0; s < slots; ++s) {
-      double end = 0.0;
-      if (!board.take(s, end)) continue;
-      ++consumed;
+    lanes.collect([&](std::size_t s, double end) {
       const NodeId done = slot_node[s];
       slot_node[s] = kInvalidNode;
       --busy;
@@ -439,7 +501,7 @@ StepResult HostCorunExecutor::run_step_fifo(HostGraphProgram& program,
       std::vector<NodeId> newly;
       tracker.mark_done(done, newly);
       for (NodeId nid : newly) ready.push_back(nid);
-    }
+    });
   }
 
   stats.time_ms = wall_time_ms() - t0;

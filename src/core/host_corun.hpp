@@ -7,10 +7,12 @@
 //   - a core map of the host (idle / primary / overlaid);
 //   - launches: every admitted op gets a ThreadTeam of the chosen width
 //     pinned to a disjoint span of host cores (TeamPool::team_pinned) and
-//     is handed to a LaunchPad launcher so the dispatcher never blocks on a
-//     kernel — except a saturating launch on an otherwise-empty machine,
-//     which runs inline on the dispatcher;
-//   - completions: launchers post to a sharded completion board the
+//     is handed to the lane of the span's lowest core, so the dispatcher
+//     never blocks on a kernel — except a saturating launch on an
+//     otherwise-empty machine, which runs inline on the dispatcher. Lanes
+//     are threads that live as long as the executor; a lane leads the team
+//     it launches (runs chunk 0 itself), so a width-w op occupies w threads;
+//   - completions: lanes post to a sharded completion board the
 //     dispatcher drains, several per wake;
 //   - time: a running op's remaining time and a completion's expected time
 //     come from an online calibration between the controller's predicted
@@ -32,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/step_loop.hpp"
@@ -61,12 +64,15 @@ struct HostCorunOptions {
 /// are only borrowed for the call.
 ///
 /// Thread-safety: the run_step entry points must be called from one thread
-/// at a time; the executor spawns and joins its own launcher threads
-/// internally.
+/// at a time. The executor starts its lane threads on its first step of
+/// each kind and joins them when it is destroyed; no step spawns a thread
+/// after that, apart from the teams TeamPool creates on a (width, span)'s
+/// first use.
 class HostCorunExecutor : public AdaptiveStepLoop {
  public:
   HostCorunExecutor(const ConcurrencyController& controller, TeamPool& pool,
                     RuntimeOptions options, HostCorunOptions host = {});
+  ~HostCorunExecutor() override;
 
   /// One adaptive step (Strategies per options.strategies) over
   /// program.graph(). Returns wall-clock StepResult with the deterministic
@@ -123,8 +129,10 @@ class HostCorunExecutor : public AdaptiveStepLoop {
   std::size_t cores() const noexcept { return cores_; }
 
  private:
-  /// Per-step dispatcher state (completion board, launch pad, core map).
+  /// Per-step dispatcher state (programs, clock origin, core map).
   struct Step;
+  /// Lane threads and the completion board they post to.
+  struct Lanes;
 
   std::size_t width() const override { return cores_; }
   double now_ms() const override;
@@ -152,9 +160,11 @@ class HostCorunExecutor : public AdaptiveStepLoop {
   HostCorunOptions host_;
   std::size_t cores_;
   Step* step_ = nullptr;  // the running step's state
-  /// Workerless width-1 team shared by all single-threaded launches (an
-  /// inline team holds no mutable state, so concurrent use is safe).
-  ThreadTeam inline1_{1, CoreSet(), /*inline_single=*/true};
+  /// Adaptive lanes: lanes 2c and 2c+1 are pinned to core c and lead the
+  /// primary and the overlay whose span starts there.
+  std::unique_ptr<Lanes> lanes_;
+  /// FIFO lanes, one per slot, unpinned; grown to the widest inter_op seen.
+  std::unique_ptr<Lanes> fifo_lanes_;
   double calib_ = 0.0;  // EWMA of wall/predicted; 0 = no sample yet
   std::vector<LaneTeam> lane_teams_;  // one per lane, persists across steps
 

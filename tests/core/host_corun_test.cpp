@@ -9,8 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <set>
+#include <string>
+#include <thread>
+
+#if defined(__linux__)
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 #include "core/runtime.hpp"
 #include "models/models.hpp"
@@ -18,6 +28,16 @@
 
 namespace opsched {
 namespace {
+
+/// Thread ids of this process, from /proc/self/task (Linux only).
+std::set<std::string> live_threads() {
+  std::set<std::string> tids;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec))
+    tids.insert(it->path().filename().string());
+  return tids;
+}
 
 class HostCorunTest : public ::testing::Test {
  protected:
@@ -147,6 +167,58 @@ TEST_F(HostCorunTest, DispatchBatchWidthsProduceBitIdenticalChecksums) {
     EXPECT_GE(r.sched_ms, 0.0);
     EXPECT_LT(r.sched_ms, r.time_ms);
   }
+}
+
+TEST_F(HostCorunTest, NoStepSpawnsAThreadAfterWarmUp) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "counts threads through /proc/self/task";
+#else
+  const Graph g = build_mnist_host(4);
+  HostGraphProgram program(g);
+  auto rt = make_runtime(program);
+  // TeamPool creates a team on a (width, span)'s first use; that is
+  // Strategy 2's cost, not the executor's, and which spans a step uses
+  // depends on timing. So create every team an adaptive step on a 4-core
+  // map can ask for up front (each span, primary and overlay slot) and
+  // leave only the executor's own threads to watch.
+  constexpr std::size_t kCores = 4;
+  TeamPool pool(kCores);
+  for (unsigned mask = 1; mask < (1u << kCores); ++mask) {
+    CoreSet span(kCores);
+    for (std::size_t c = 0; c < kCores; ++c)
+      if ((mask >> c) & 1u) span.add(c);
+    for (const std::size_t slot : {0, 1})
+      pool.team_pinned(span.count(), span, slot);
+  }
+  HostCorunOptions host;
+  host.cores = kCores;
+  HostCorunExecutor exec(rt->controller(), pool, rt->options(), host);
+  const auto both_paths = [&] {
+    EXPECT_EQ(exec.run_step(program).ops_run, g.size());
+    EXPECT_EQ(exec.run_step_fifo(program, 2, 2).ops_run, g.size());
+  };
+  for (int i = 0; i < 3; ++i) both_paths();
+
+  // A thread spawned and joined inside one step leaves the count as it
+  // was, so a sampler also watches for any thread id it has not seen.
+  const std::set<std::string> warm = live_threads();
+  std::atomic<bool> stop{false};
+  std::set<std::string> strangers;
+  std::thread sampler([&] {
+    const std::string self = std::to_string(::syscall(SYS_gettid));
+    while (!stop.load()) {
+      for (const std::string& tid : live_threads())
+        if (tid != self && warm.count(tid) == 0) strangers.insert(tid);
+      std::this_thread::yield();
+    }
+  });
+  for (int i = 0; i < 20; ++i) both_paths();
+  stop.store(true);
+  sampler.join();
+  EXPECT_TRUE(strangers.empty())
+      << strangers.size() << " thread(s) started during the steps";
+  EXPECT_EQ(live_threads().size(), warm.size());
+#endif
 }
 
 TEST_F(HostCorunTest, ExactBindingsCoverSchedulableKinds) {

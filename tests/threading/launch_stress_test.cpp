@@ -1,115 +1,59 @@
-// Oversubscription stress for LaunchPad + TeamPool: far more concurrent
-// launches than the host has cores. Guards two past failure modes:
-//  - the PR-1 deadlock where concurrent co-run slots on a narrow host
-//    shared one (width, affinity) ThreadTeam — slot tags must keep live
-//    teams distinct;
-//  - launcher starvation/deadlock when every launcher blocks inside a
-//    kernel while more jobs queue behind them.
+// Oversubscription stress for TeamPool + caller-led ThreadTeams: far more
+// concurrent launches than the host has cores. Guards two past failure
+// modes:
+//  - the deadlock where concurrent co-run slots on a narrow host shared one
+//    (width, affinity) ThreadTeam — slot tags must keep live teams
+//    distinct;
+//  - launch starvation/deadlock when every launching thread leads a team
+//    while more launches wait for cores.
 // The assertions are completion (no deadlock — bounded by the CTest
 // timeout), exact work accounting, and team distinctness; nothing timing-
 // sensitive, so the test is safe on 1-core CI and under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "threading/core_set.hpp"
-#include "threading/launch_pad.hpp"
 #include "threading/team_pool.hpp"
 #include "threading/thread_team.hpp"
 
 namespace opsched {
 namespace {
 
-/// Blocks until `count` reaches `target` (condvar, no spinning).
-class Barrier {
- public:
-  void arrive() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++count_;
-    cv_.notify_all();
-  }
-  void wait_for(int target) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return count_ >= target; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int count_ = 0;
-};
-
-TEST(LaunchStressTest, OversubscribedInlineWidth1LaunchesAllComplete) {
-  // Many more launchers than cores, each running the shared workerless
-  // inline team (documented safe for concurrent use) — the host executor's
-  // width-1 fast path under maximum oversubscription.
+TEST(LaunchStressTest, OversubscribedWidth1LaunchesRunOnTheirCallers) {
+  // Many more launching threads than cores, each leading its own slot's
+  // width-1 team — the host executor's width-1 path under maximum
+  // oversubscription. A width-1 team has no helpers: every body must run
+  // on the thread that launched it.
   const std::size_t cores = host_logical_cores();
   const std::size_t launchers = 4 * cores + 12;
-  constexpr int kJobs = 128;
+  constexpr int kJobs = 8;
   constexpr std::size_t kIters = 512;
 
-  LaunchPad pad(launchers);
-  ThreadTeam inline1(1, CoreSet(), /*inline_single=*/true);
+  TeamPool pool(1);
   std::atomic<std::uint64_t> work{0};
-  Barrier done;
-  for (int j = 0; j < kJobs; ++j) {
-    pad.launch([&] {
-      inline1.parallel_for(kIters, [&](std::size_t b, std::size_t e,
-                                       std::size_t) {
-        work.fetch_add(e - b, std::memory_order_relaxed);
-      });
-      done.arrive();
+  std::atomic<int> foreign{0};
+  std::vector<std::thread> threads;
+  for (std::size_t l = 0; l < launchers; ++l) {
+    threads.emplace_back([&, l] {
+      ThreadTeam& team = pool.team_pinned(1, CoreSet(), l);
+      const std::thread::id self = std::this_thread::get_id();
+      for (int j = 0; j < kJobs; ++j) {
+        team.parallel_for(kIters, [&](std::size_t b, std::size_t e,
+                                      std::size_t) {
+          if (std::this_thread::get_id() != self) foreign.fetch_add(1);
+          work.fetch_add(e - b, std::memory_order_relaxed);
+        });
+      }
     });
   }
-  done.wait_for(kJobs);
-  EXPECT_EQ(work.load(), static_cast<std::uint64_t>(kJobs) * kIters);
-  EXPECT_EQ(pad.width(), launchers);
-}
-
-TEST(LaunchStressTest, LaneTargetedLaunchesRunInOrderOnOneThread) {
-  // launch_on(lane) is the executor's sharded dispatch path: every job
-  // aimed at one lane must run on that lane's single worker thread, in
-  // submission order, and lane indices wrap modulo the pad width.
-  constexpr std::size_t kLanes = 3;
-  constexpr int kJobsPerLane = 64;
-  LaunchPad pad(kLanes);
-
-  std::mutex mu;
-  std::vector<std::vector<int>> order(kLanes);
-  std::vector<std::vector<std::thread::id>> runners(kLanes);
-  Barrier done;
-  for (int j = 0; j < kJobsPerLane; ++j) {
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      // Exercise the modulo wrap on every other job.
-      const std::size_t target = (j % 2 == 0) ? lane : lane + kLanes;
-      pad.launch_on(target, [&, lane, j] {
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          order[lane].push_back(j);
-          runners[lane].push_back(std::this_thread::get_id());
-        }
-        done.arrive();
-      });
-    }
-  }
-  done.wait_for(kJobsPerLane * static_cast<int>(kLanes));
-
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    SCOPED_TRACE("lane " + std::to_string(lane));
-    ASSERT_EQ(order[lane].size(), static_cast<std::size_t>(kJobsPerLane));
-    for (int j = 0; j < kJobsPerLane; ++j)
-      EXPECT_EQ(order[lane][j], j) << "lane queue must be FIFO";
-    for (const std::thread::id& id : runners[lane])
-      EXPECT_EQ(id, runners[lane].front())
-          << "one worker thread per lane";
-  }
-  // Distinct lanes really are distinct workers.
-  EXPECT_NE(runners[0].front(), runners[1].front());
-  EXPECT_EQ(pad.in_flight(), 0u);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(work.load(),
+            static_cast<std::uint64_t>(launchers) * kJobs * kIters);
+  EXPECT_EQ(foreign.load(), 0);
+  EXPECT_EQ(pool.teams_created(), launchers);
 }
 
 TEST(LaunchStressTest, SlotTagsKeepLiveTeamsDistinct) {
@@ -129,36 +73,31 @@ TEST(LaunchStressTest, SlotTagsKeepLiveTeamsDistinct) {
 }
 
 TEST(LaunchStressTest, ConcurrentSlotTaggedCorunSlotsNeverDeadlock) {
-  // The PR-1 regression shape, oversubscribed: 8 concurrent "co-run slots"
-  // on a 2-core pool, each launch running a parallel_for on its
-  // slot-tagged pinned team while every other slot does the same. With a
-  // shared team this deadlocks (a team must never run two parallel_for
-  // calls at once); with slot tags it must finish and count exactly.
+  // The shared-team deadlock shape, oversubscribed: 8 concurrent "co-run
+  // slots" on a 2-core pool, each leading a parallel_for on its slot-tagged
+  // pinned team while every other slot does the same. With a shared team
+  // this deadlocks (a team must never run two parallel_for calls at once);
+  // with slot tags it must finish and count exactly.
   constexpr std::size_t kSlots = 8;
   constexpr int kRounds = 20;
   constexpr std::size_t kIters = 256;
 
   TeamPool pool(2);
   const CoreSet span = CoreSet::range(2, 0, 2);
-  LaunchPad pad(kSlots);
   std::atomic<std::uint64_t> work{0};
-  Barrier done;
-  for (int r = 0; r < kRounds; ++r) {
-    for (std::size_t s = 0; s < kSlots; ++s) {
-      pad.launch([&, s] {
-        ThreadTeam& team = pool.team_pinned(2, span, s);
+  std::vector<std::thread> slots;
+  for (std::size_t s = 0; s < kSlots; ++s) {
+    slots.emplace_back([&, s] {
+      ThreadTeam& team = pool.team_pinned(2, span, s);
+      for (int r = 0; r < kRounds; ++r) {
         team.parallel_for(kIters, [&](std::size_t b, std::size_t e,
                                       std::size_t) {
           work.fetch_add(e - b, std::memory_order_relaxed);
         });
-        done.arrive();
-      });
-    }
-    // Drain the round before relaunching: a slot's team may only ever run
-    // ONE parallel_for at a time — concurrency lives across slots, reuse
-    // across rounds.
-    done.wait_for((r + 1) * static_cast<int>(kSlots));
+      }
+    });
   }
+  for (auto& t : slots) t.join();
   EXPECT_EQ(work.load(),
             static_cast<std::uint64_t>(kRounds) * kSlots * kIters);
   // One live team per slot, never more (teams are cached and reused across
