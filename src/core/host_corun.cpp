@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <deque>
 #include <limits>
 #include <optional>
@@ -53,8 +54,15 @@ class CompletionBoard {
   }
 
   /// Dispatcher side: blocks until more than `consumed` posts happened.
+  /// A lane marks its slot full before it bumps posted_, so the dispatcher
+  /// may take a completion whose bump has not landed yet and run
+  /// `consumed` ahead of posted_; the signed difference keeps it waiting
+  /// until the count catches up and passes it.
   void wait(std::size_t consumed) {
-    posted_.await_change(static_cast<std::uint32_t>(consumed));
+    const auto target = static_cast<std::uint32_t>(consumed);
+    std::uint32_t posted = posted_.load();
+    while (static_cast<std::int32_t>(posted - target) <= 0)
+      posted = posted_.await_change(posted);
   }
 
   /// Dispatcher side: claims lane's completion if one is posted.
@@ -465,43 +473,51 @@ StepResult HostCorunExecutor::run_step_fifo(HostGraphProgram& program,
   std::vector<double> slot_start(slots, 0.0);
   std::size_t busy = 0;
 
-  while (tracker.remaining() > 0) {
-    for (std::size_t s = 0; s < slots && !ready.empty(); ++s) {
-      if (slot_node[s] != kInvalidNode) continue;
-      const NodeId node_id = ready.front();
-      ready.pop_front();
-      slot_node[s] = node_id;
-      const bool corun = busy > 0;
-      ++busy;
-      // Unpinned team (empty affinity), one live team per FIFO slot: the
-      // OS scatters the threads, as with TensorFlow's executor.
-      ThreadTeam& team = pool_.team_pinned(width, CoreSet(cores_), s);
-      slot_start[s] = wall_time_ms();
-      stats.trace.record(slot_start[s] - t0, /*is_launch=*/true, node_id,
-                         g.node(node_id).kind, static_cast<int>(busy));
-      ++stats.ops_run;
-      if (corun) ++stats.corun_launches;
-      // Slot s always rides lane s: FIFO slots are long-lived, so the same
-      // lane keeps leading the same team.
-      lanes.launch(s, program, node_id, team);
-    }
+  // The program is only borrowed for this call: on an exception, let every
+  // op still on a lane finish before it leaves, so no stale completion
+  // reaches the next step.
+  try {
+    while (tracker.remaining() > 0) {
+      for (std::size_t s = 0; s < slots && !ready.empty(); ++s) {
+        if (slot_node[s] != kInvalidNode) continue;
+        const NodeId node_id = ready.front();
+        ready.pop_front();
+        slot_node[s] = node_id;
+        const bool corun = busy > 0;
+        ++busy;
+        // Unpinned team (empty affinity), one live team per FIFO slot: the
+        // OS scatters the threads, as with TensorFlow's executor.
+        ThreadTeam& team = pool_.team_pinned(width, CoreSet(cores_), s);
+        slot_start[s] = wall_time_ms();
+        stats.trace.record(slot_start[s] - t0, /*is_launch=*/true, node_id,
+                           g.node(node_id).kind, static_cast<int>(busy));
+        ++stats.ops_run;
+        if (corun) ++stats.corun_launches;
+        // Slot s always rides lane s: FIFO slots are long-lived, so the same
+        // lane keeps leading the same team.
+        lanes.launch(s, program, node_id, team);
+      }
 
-    if (busy == 0) {
-      throw std::logic_error(
-          "HostCorunExecutor: FIFO deadlock — nothing running but nodes "
-          "remain");
+      if (busy == 0) {
+        throw std::logic_error(
+            "HostCorunExecutor: FIFO deadlock — nothing running but nodes "
+            "remain");
+      }
+      lanes.collect([&](std::size_t s, double end) {
+        const NodeId done = slot_node[s];
+        slot_node[s] = kInvalidNode;
+        --busy;
+        stats.service_ms += end - slot_start[s];
+        stats.trace.record(end - t0, /*is_launch=*/false, done,
+                           g.node(done).kind, static_cast<int>(busy));
+        std::vector<NodeId> newly;
+        tracker.mark_done(done, newly);
+        for (NodeId nid : newly) ready.push_back(nid);
+      });
     }
-    lanes.collect([&](std::size_t s, double end) {
-      const NodeId done = slot_node[s];
-      slot_node[s] = kInvalidNode;
-      --busy;
-      stats.service_ms += end - slot_start[s];
-      stats.trace.record(end - t0, /*is_launch=*/false, done,
-                         g.node(done).kind, static_cast<int>(busy));
-      std::vector<NodeId> newly;
-      tracker.mark_done(done, newly);
-      for (NodeId nid : newly) ready.push_back(nid);
-    });
+  } catch (...) {
+    lanes.drain();
+    throw;
   }
 
   stats.time_ms = wall_time_ms() - t0;

@@ -11,7 +11,9 @@
 //     never blocks on a kernel — except a saturating launch on an
 //     otherwise-empty machine, which runs inline on the dispatcher. Lanes
 //     are threads that live as long as the executor; a lane leads the team
-//     it launches (runs chunk 0 itself), so a width-w op occupies w threads;
+//     it launches (runs chunk 0 itself), so a width-w op occupies w threads.
+//     The leader of an inline launch is the dispatcher, which is not
+//     pinned: its chunk 0 may share a core with one of the team's helpers;
 //   - completions: lanes post to a sharded completion board the
 //     dispatcher drains, several per wake;
 //   - time: a running op's remaining time and a completion's expected time

@@ -55,18 +55,18 @@ void park_while(std::atomic<std::uint32_t>& word, std::uint32_t seen) noexcept;
 /// Wakes every thread parked on `word`.
 void wake_all(std::atomic<std::uint32_t>& word) noexcept;
 
-/// Polls `ready()` for up to `window_ns`, yielding the core between polls,
+/// Polls `ready()` for up to kSpinWindowNs, yielding the core between polls,
 /// and returns whether it became true. A spinner that shares its core with
 /// a busy thread would lose its core for a whole scheduler slice on a
 /// yield, and a thread that stays runnable loses the wake-up preemption a
 /// parked one gets. So once a yield comes back late, this thread stops
 /// polling for a while and parks straight away instead.
 template <typename Ready>
-bool spin_until(Ready&& ready, std::int64_t window_ns = kSpinWindowNs) {
+bool spin_until(Ready&& ready) {
   spin_detail::Quiet& q = spin_detail::quiet;
   std::int64_t now = spin_detail::now_ns();
   if (now < q.until_ns) return ready();
-  const std::int64_t deadline = now + window_ns;
+  const std::int64_t deadline = now + kSpinWindowNs;
   for (;;) {
     if (ready()) {
       q.period_ns /= 2;
