@@ -26,6 +26,7 @@ void register_all(Registry& reg) {
   register_micro_kernels(reg);
   register_micro_threadpool(reg);
   register_micro_dispatch(reg);
+  register_micro_sim_step(reg);
   register_obs_overhead(reg);
 }
 

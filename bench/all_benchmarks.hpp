@@ -32,6 +32,7 @@ void register_serve_cluster(Registry& reg);
 void register_micro_kernels(Registry& reg);
 void register_micro_threadpool(Registry& reg);
 void register_micro_dispatch(Registry& reg);
+void register_micro_sim_step(Registry& reg);
 void register_obs_overhead(Registry& reg);
 
 /// Registers all of the above, in paper order (figures, tables, extensions,

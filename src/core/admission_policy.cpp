@@ -313,13 +313,21 @@ void AdmissionPolicy::tenant_order(std::size_t count,
   // Latency-critical slots first — op-boundary preemption priority over
   // batch training tenants — then the weighted-deficit race within each
   // group; stable, so ties keep slot order (deterministic).
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const bool lat_a = tenant_floor(a) > 0;
-                     const bool lat_b = tenant_floor(b) > 0;
-                     if (lat_a != lat_b) return lat_a;
-                     return service_[a] < service_[b];
-                   });
+  const auto before = [&](std::size_t a, std::size_t b) {
+    const bool lat_a = tenant_floor(a) > 0;
+    const bool lat_b = tenant_floor(b) > 0;
+    if (lat_a != lat_b) return lat_a;
+    return service_[a] < service_[b];
+  };
+  // Stable insertion sort: a co-located population is a handful of
+  // tenants, and std::stable_sort would heap-allocate a merge buffer on
+  // every decision.
+  for (std::size_t i = 1; i < count; ++i) {
+    const std::size_t t = order[i];
+    std::size_t j = i;
+    for (; j > 0 && before(t, order[j - 1]); --j) order[j] = order[j - 1];
+    order[j] = t;
+  }
 }
 
 void AdmissionPolicy::charge(std::size_t tenant, const Candidate& c) {
@@ -368,8 +376,9 @@ void AdmissionPolicy::insert_bad_pair(TenantArenaOp a, TenantArenaOp b) {
 void AdmissionPolicy::stamp_bad_partners(
     std::size_t id, const std::vector<TenantArenaOp>& running) {
   if (bad_pairs_rev_stale_) {
+    // No exact reserve: the record grows by a pair or two between
+    // rebuilds, and an exact reserve would reallocate on every one.
     bad_pairs_rev_.clear();
-    bad_pairs_rev_.reserve(bad_pairs_.size());
     for (const auto& p : bad_pairs_)
       bad_pairs_rev_.emplace_back(p.second, p.first);
     std::sort(bad_pairs_rev_.begin(), bad_pairs_rev_.end());
@@ -736,17 +745,18 @@ std::optional<MultiAdmissionDecision> AdmissionPolicy::next_launch_multi(
     const std::vector<TenantReadyView>& tenants, int idle_cores,
     const std::vector<RunningOpView>& running,
     std::vector<AdmissionStats>* stats) {
-  auto batch = next_launch_batch(tenants, idle_cores, running, stats, 1);
-  if (batch.empty()) return std::nullopt;
-  return batch.front();
+  next_launch_batch(tenants, idle_cores, running, stats, 1, batch_scratch_);
+  if (batch_scratch_.empty()) return std::nullopt;
+  return batch_scratch_.front();
 }
 
-std::vector<MultiAdmissionDecision> AdmissionPolicy::next_launch_batch(
+void AdmissionPolicy::next_launch_batch(
     const std::vector<TenantReadyView>& tenants, int idle_cores,
     const std::vector<RunningOpView>& running,
-    std::vector<AdmissionStats>* stats, std::size_t max_launches) {
-  std::vector<MultiAdmissionDecision> batch;
-  if (tenants.empty() || idle_cores <= 0 || max_launches == 0) return batch;
+    std::vector<AdmissionStats>* stats, std::size_t max_launches,
+    std::vector<MultiAdmissionDecision>& batch) {
+  batch.clear();
+  if (tenants.empty() || idle_cores <= 0 || max_launches == 0) return;
   if (stats != nullptr) stats->resize(tenants.size());
   const double t0 = telem_.reg != nullptr ? wall_time_ms() : 0.0;
   ensure_tenants(tenants.size());
@@ -795,7 +805,6 @@ std::vector<MultiAdmissionDecision> AdmissionPolicy::next_launch_batch(
     telem_.decisions->inc();
     telem_.decision_ms->observe(wall_time_ms() - t0);
   }
-  return batch;
 }
 
 std::optional<AdmissionDecision> AdmissionPolicy::next_overlay(

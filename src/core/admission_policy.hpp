@@ -233,10 +233,14 @@ class AdmissionPolicy {
   /// executor sees differs from calling next_launch_multi per launch only
   /// through the snapshot staleness within a batch — which can never
   /// change numerics, only schedule shape (the determinism contract).
-  std::vector<MultiAdmissionDecision> next_launch_batch(
-      const std::vector<TenantReadyView>& tenants, int idle_cores,
-      const std::vector<RunningOpView>& running,
-      std::vector<AdmissionStats>* stats, std::size_t max_launches);
+  /// `batch` is cleared and then receives the decisions in order; a caller
+  /// that keeps it across calls admits without allocating.
+  void next_launch_batch(const std::vector<TenantReadyView>& tenants,
+                         int idle_cores,
+                         const std::vector<RunningOpView>& running,
+                         std::vector<AdmissionStats>* stats,
+                         std::size_t max_launches,
+                         std::vector<MultiAdmissionDecision>& batch);
 
   /// One Strategy-4 pick: the smallest ready op (by serial time), admitted
   /// onto `eligible_cores` spare hyper-thread contexts if it passes the
@@ -408,7 +412,7 @@ class AdmissionPolicy {
   /// Tenant visit order: latency-critical slots (non-zero floor) before
   /// batch slots, each group in ascending accumulated weighted service,
   /// ties by tenant index (deterministic). Fills the reusable scratch
-  /// vector.
+  /// vector without allocating once it has grown to `count`.
   void tenant_order(std::size_t count, std::vector<std::size_t>& order) const;
   /// Adds one launch's weighted cost to the tenant's service ledger.
   void charge(std::size_t tenant, const Candidate& c);
@@ -513,6 +517,8 @@ class AdmissionPolicy {
   // Reusable per-call scratch (the hot path allocates nothing in steady
   // state).
   std::vector<std::size_t> order_scratch_;
+  /// next_launch_multi's one-decision batch.
+  std::vector<MultiAdmissionDecision> batch_scratch_;
   /// Per-tenant positions picked so far in the current batch.
   std::vector<std::vector<std::size_t>> picked_scratch_;
   RunningScratch running_scratch_;

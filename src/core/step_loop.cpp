@@ -30,7 +30,9 @@ std::vector<StepResult> AdaptiveStepLoop::run_step_loop(
   results_.assign(tenants, StepResult{});
   trackers_.clear();
   trackers_.reserve(tenants);
-  ready_.assign(tenants, ReadyQueue{});
+  // Resized, not reassigned: each queue keeps its storage from the
+  // previous step.
+  ready_.resize(tenants);
   tenant_views_.resize(tenants);
   remaining_ = 0;
   for (std::size_t t = 0; t < tenants; ++t) {
@@ -39,6 +41,8 @@ std::vector<StepResult> AdaptiveStepLoop::run_step_loop(
                      trackers_[t].initially_ready().end());
     tenant_views_[t] = TenantReadyView{graphs[t], &ready_[t]};
     remaining_ += trackers_[t].remaining();
+    // A launch and a completion event per node.
+    results_[t].trace.reserve(2 * graphs[t]->size());
   }
   last_completion_.assign(tenants, 0.0);
   sched_ms_ = 0.0;
@@ -47,7 +51,6 @@ std::vector<StepResult> AdaptiveStepLoop::run_step_loop(
   in_flight_count_ = 0;
 
   const bool s4 = (options_.strategies & kStrategy4) != 0;
-  std::vector<OpCompletion> done;
   while (remaining_ > 0) {
     admit();
     if (s4 && overlays_supported() && any_ready() &&
@@ -60,9 +63,9 @@ std::vector<StepResult> AdaptiveStepLoop::run_step_loop(
       throw std::logic_error(
           "adaptive step: deadlock — nothing running but nodes remain");
     }
-    done.clear();
-    wait(done);
-    for (const OpCompletion& c : done) complete(c);
+    done_.clear();
+    wait(done_);
+    for (const OpCompletion& c : done_) complete(c);
   }
 
   for (std::size_t t = 0; t < tenants; ++t) {
@@ -82,9 +85,9 @@ void AdaptiveStepLoop::admit() {
     // launches; decision i already models picks 0..i-1 as running.
     const double d0 = now_ms();
     round_stats_.clear();
-    const auto batch = policy_.next_launch_batch(
-        tenant_views_, static_cast<int>(idle.count()), snapshot(),
-        &round_stats_, decision_batch_);
+    policy_.next_launch_batch(tenant_views_, static_cast<int>(idle.count()),
+                              snapshot(), &round_stats_, decision_batch_,
+                              batch_);
     sched_ms_ += now_ms() - d0;
     // Per-queue attribution, wait rounds included: each tenant's counters
     // reflect the walk over its own queue, whoever wins the round.
@@ -92,9 +95,9 @@ void AdaptiveStepLoop::admit() {
       results_[t].cache_hits += round_stats_[t].cache_hits;
       results_[t].guard_fallbacks += round_stats_[t].guard_fallbacks;
     }
-    if (batch.empty()) return;  // wait for a completion
+    if (batch_.empty()) return;  // wait for a completion
     CoreSet avail = idle;
-    for (const MultiAdmissionDecision& d : batch) {
+    for (const MultiAdmissionDecision& d : batch_) {
       const CoreSet span = avail.take_lowest(static_cast<std::size_t>(
           std::max(1, d.decision.candidate.threads)));
       avail = avail.minus(span);

@@ -197,6 +197,8 @@ class AdaptiveStepLoop {
   std::size_t in_flight_count_ = 0;
   std::vector<RunningOpView> views_;
   std::vector<AdmissionStats> round_stats_;
+  std::vector<MultiAdmissionDecision> batch_;
+  std::vector<OpCompletion> done_;
   std::vector<NodeId> newly_ready_;
 };
 

@@ -26,18 +26,11 @@ int EventTrace::max_corun() const {
 }
 
 SimMachine::SimMachine(const MachineSpec& spec, const CostModel& model)
-    : spec_(spec), model_(model) {}
-
-CoreSet SimMachine::idle_cores() const {
-  CoreSet busy(spec_.num_cores);
-  for (const RunningTask& t : tasks_) {
-    if (t.launch_kind != LaunchKind::kOverlay)
-      busy = busy.union_with(t.cores);
-  }
-  return CoreSet::all(spec_.num_cores).minus(busy);
+    : spec_(spec), model_(model) {
+  refresh_masks();
 }
 
-CoreSet SimMachine::overlayable_cores() const {
+void SimMachine::refresh_masks() {
   CoreSet primary(spec_.num_cores);
   CoreSet overlaid(spec_.num_cores);
   for (const RunningTask& t : tasks_) {
@@ -46,7 +39,8 @@ CoreSet SimMachine::overlayable_cores() const {
     else
       primary = primary.union_with(t.cores);
   }
-  return primary.minus(overlaid);
+  idle_ = CoreSet::all(spec_.num_cores).minus(primary);
+  overlayable_ = primary.minus(overlaid);
 }
 
 SimMachine::TaskId SimMachine::launch(const Node& node, int threads,
@@ -94,6 +88,7 @@ SimMachine::TaskId SimMachine::launch(const Node& node, int threads,
   t.start_ms = now_ms_;
   t.mem_intensity = model_.memory_intensity(node, threads);
   tasks_.push_back(std::move(t));
+  refresh_masks();
   recompute_rates();
   trace_.record(now_ms_, /*is_launch=*/true, node.id, node.kind,
                 static_cast<int>(tasks_.size()));
@@ -121,29 +116,28 @@ void SimMachine::recompute_rates() {
   // Per-core capacity sharing between distinct teams. Demand weight of a
   // team is its compute fraction (floored) times the hardware contexts it
   // puts on the core.
-  std::vector<double> share_sum(tasks_.size(), 0.0);
-  std::vector<int> shared_cores(tasks_.size(), 0);
-  std::vector<std::size_t> on_core;
+  share_sum_.assign(tasks_.size(), 0.0);
+  shared_cores_.assign(tasks_.size(), 0);
   for (std::size_t c = 0; c < ncores; ++c) {
-    on_core.clear();
+    on_core_.clear();
     int contexts = 0;
     for (std::size_t i = 0; i < tasks_.size(); ++i) {
       if (tasks_[i].cores.contains(c)) {
-        on_core.push_back(i);
+        on_core_.push_back(i);
         contexts += tasks_[i].contexts_per_core;
       }
     }
-    if (on_core.size() < 2) continue;  // exclusive core: full speed
+    if (on_core_.size() < 2) continue;  // exclusive core: full speed
     const double capacity =
         spec_.multi_team_capacity(static_cast<std::size_t>(contexts));
     double weight_sum = 0.0;
-    for (std::size_t i : on_core) {
+    for (std::size_t i : on_core_) {
       const double w =
           std::max(corun_min_weight(), 1.0 - tasks_[i].mem_intensity) *
           tasks_[i].contexts_per_core;
       weight_sum += w;
     }
-    for (std::size_t i : on_core) {
+    for (std::size_t i : on_core_) {
       const double w =
           std::max(corun_min_weight(), 1.0 - tasks_[i].mem_intensity) *
           tasks_[i].contexts_per_core;
@@ -152,18 +146,18 @@ void SimMachine::recompute_rates() {
       const double solo_capacity = spec_.multi_team_capacity(
           static_cast<std::size_t>(tasks_[i].contexts_per_core));
       const double now = capacity * w / weight_sum;
-      share_sum[i] += now / solo_capacity;
-      ++shared_cores[i];
+      share_sum_[i] += now / solo_capacity;
+      ++shared_cores_[i];
     }
   }
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    if (shared_cores[i] == 0) continue;
+    if (shared_cores_[i] == 0) continue;
     // Mean share across the task's shared cores; cores it holds exclusively
     // contribute 1.0.
     const double total = static_cast<double>(tasks_[i].cores.count());
-    const double exclusive = total - shared_cores[i];
+    const double exclusive = total - shared_cores_[i];
     const double mean_share =
-        (share_sum[i] + exclusive) / total;
+        (share_sum_[i] + exclusive) / total;
     tasks_[i].rate *= std::min(1.0, mean_share);
   }
 }
@@ -188,6 +182,7 @@ std::optional<SimMachine::Completion> SimMachine::advance() {
 
   const RunningTask done = tasks_[best_idx];
   tasks_.erase(tasks_.begin() + static_cast<std::ptrdiff_t>(best_idx));
+  refresh_masks();
   recompute_rates();
 
   Completion c;
@@ -212,6 +207,7 @@ double SimMachine::max_remaining_ms() const {
 
 void SimMachine::reset() {
   tasks_.clear();
+  refresh_masks();
   now_ms_ = 0.0;
   next_id_ = 1;
   dispatch_end_ms_ = 0.0;

@@ -41,6 +41,7 @@ class EventTrace {
   const std::vector<TraceEvent>& events() const noexcept { return events_; }
   std::size_t size() const noexcept { return events_.size(); }
   void clear() { events_.clear(); }
+  void reserve(std::size_t events) { events_.reserve(events); }
 
   /// Mean of corun_after over all events (the paper's "average number of
   /// co-running operations").
@@ -100,11 +101,13 @@ class SimMachine {
   std::size_t num_running() const noexcept { return tasks_.size(); }
   bool quiescent() const noexcept { return tasks_.empty(); }
 
-  /// Cores with no primary (exclusive) occupant.
-  CoreSet idle_cores() const;
+  /// Cores with no primary (exclusive or stacked) occupant. Kept current
+  /// by launch/advance/reset, so reading it costs no walk over the tasks.
+  const CoreSet& idle_cores() const noexcept { return idle_; }
 
-  /// Cores with a primary occupant but no overlay yet.
-  CoreSet overlayable_cores() const;
+  /// Cores with a primary occupant but no overlay yet; kept current like
+  /// idle_cores().
+  const CoreSet& overlayable_cores() const noexcept { return overlayable_; }
 
   /// Launches `node` with `threads` threads on `cores`.
   TaskId launch(const Node& node, int threads, AffinityMode mode,
@@ -132,6 +135,10 @@ class SimMachine {
 
  private:
   void recompute_rates();
+  /// Rebuilds idle_ and overlayable_ from tasks_. Called whenever the task
+  /// set changes: stacked primaries may share cores, so removing one
+  /// task's cores from a running mask would be wrong.
+  void refresh_masks();
 
   MachineSpec spec_;
   const CostModel& model_;
@@ -149,7 +156,13 @@ class SimMachine {
   /// reset() like the real thread pools persist across training steps.
   std::array<int, kNumOpKinds> last_width_{};
   std::vector<RunningTask> tasks_;
+  CoreSet idle_;
+  CoreSet overlayable_;
   EventTrace trace_;
+  // recompute_rates scratch, reused so a launch allocates nothing.
+  std::vector<double> share_sum_;
+  std::vector<int> shared_cores_;
+  std::vector<std::size_t> on_core_;
 };
 
 }  // namespace opsched

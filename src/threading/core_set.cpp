@@ -1,18 +1,35 @@
 #include "threading/core_set.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <sstream>
 #include <stdexcept>
 
 namespace opsched {
 
-CoreSet::CoreSet(std::size_t capacity)
-    : capacity_(capacity), words_((capacity + 63) / 64, 0) {}
+std::uint64_t* CoreSet::copy_words(const CoreSet& other) {
+  auto* words = new std::uint64_t[other.num_words()];
+  std::copy_n(other.heap_, other.num_words(), words);
+  return words;
+}
+
+void CoreSet::fill(std::size_t first, std::size_t count) noexcept {
+  std::uint64_t* w = words();
+  while (count > 0) {
+    const std::size_t offset = first % 64;
+    const std::size_t n = std::min(64 - offset, count);
+    const std::uint64_t bits = n == 64 ? ~0ULL : (1ULL << n) - 1;
+    w[first / 64] |= bits << offset;
+    first += n;
+    count -= n;
+  }
+}
 
 CoreSet CoreSet::range(std::size_t capacity, std::size_t first,
                        std::size_t count) {
+  if (count > 0 && (first >= capacity || count > capacity - first))
+    throw std::out_of_range("CoreSet::range: core id beyond capacity");
   CoreSet s(capacity);
-  for (std::size_t i = 0; i < count; ++i) s.add(first + i);
+  s.fill(first, count);
   return s;
 }
 
@@ -20,32 +37,19 @@ CoreSet CoreSet::all(std::size_t capacity) {
   return range(capacity, 0, capacity);
 }
 
-std::size_t CoreSet::count() const noexcept {
-  std::size_t n = 0;
-  for (std::uint64_t w : words_) n += static_cast<std::size_t>(std::popcount(w));
-  return n;
-}
-
-bool CoreSet::contains(std::size_t core) const {
-  if (core >= capacity_) return false;
-  return (words_[core / 64] >> (core % 64)) & 1ULL;
-}
-
 void CoreSet::add(std::size_t core) {
   if (core >= capacity_)
     throw std::out_of_range("CoreSet::add: core id beyond capacity");
-  words_[core / 64] |= (1ULL << (core % 64));
+  words()[core / 64] |= (1ULL << (core % 64));
 }
 
 void CoreSet::remove(std::size_t core) {
   if (core >= capacity_)
     throw std::out_of_range("CoreSet::remove: core id beyond capacity");
-  words_[core / 64] &= ~(1ULL << (core % 64));
+  words()[core / 64] &= ~(1ULL << (core % 64));
 }
 
-void CoreSet::clear() {
-  for (auto& w : words_) w = 0;
-}
+void CoreSet::clear() { std::fill_n(words(), num_words(), 0); }
 
 void CoreSet::check_capacity(const CoreSet& other) const {
   if (capacity_ != other.capacity_)
@@ -55,59 +59,76 @@ void CoreSet::check_capacity(const CoreSet& other) const {
 CoreSet CoreSet::union_with(const CoreSet& other) const {
   check_capacity(other);
   CoreSet out(capacity_);
-  for (std::size_t i = 0; i < words_.size(); ++i)
-    out.words_[i] = words_[i] | other.words_[i];
+  const std::uint64_t *a = words(), *b = other.words();
+  std::uint64_t* o = out.words();
+  for (std::size_t i = 0; i < num_words(); ++i) o[i] = a[i] | b[i];
   return out;
 }
 
 CoreSet CoreSet::intersect(const CoreSet& other) const {
   check_capacity(other);
   CoreSet out(capacity_);
-  for (std::size_t i = 0; i < words_.size(); ++i)
-    out.words_[i] = words_[i] & other.words_[i];
+  const std::uint64_t *a = words(), *b = other.words();
+  std::uint64_t* o = out.words();
+  for (std::size_t i = 0; i < num_words(); ++i) o[i] = a[i] & b[i];
   return out;
 }
 
 CoreSet CoreSet::minus(const CoreSet& other) const {
   check_capacity(other);
   CoreSet out(capacity_);
-  for (std::size_t i = 0; i < words_.size(); ++i)
-    out.words_[i] = words_[i] & ~other.words_[i];
+  const std::uint64_t *a = words(), *b = other.words();
+  std::uint64_t* o = out.words();
+  for (std::size_t i = 0; i < num_words(); ++i) o[i] = a[i] & ~b[i];
   return out;
 }
 
 bool CoreSet::disjoint_with(const CoreSet& other) const {
   check_capacity(other);
-  for (std::size_t i = 0; i < words_.size(); ++i)
-    if (words_[i] & other.words_[i]) return false;
+  const std::uint64_t *a = words(), *b = other.words();
+  for (std::size_t i = 0; i < num_words(); ++i)
+    if (a[i] & b[i]) return false;
   return true;
 }
 
 bool CoreSet::is_subset_of(const CoreSet& other) const {
   check_capacity(other);
-  for (std::size_t i = 0; i < words_.size(); ++i)
-    if (words_[i] & ~other.words_[i]) return false;
+  const std::uint64_t *a = words(), *b = other.words();
+  for (std::size_t i = 0; i < num_words(); ++i)
+    if (a[i] & ~b[i]) return false;
   return true;
 }
 
 CoreSet CoreSet::take_lowest(std::size_t n) const {
   CoreSet out(capacity_);
-  std::size_t taken = 0;
-  for (std::size_t c = 0; c < capacity_ && taken < n; ++c) {
-    if (contains(c)) {
-      out.add(c);
-      ++taken;
+  const std::uint64_t* src = words();
+  std::uint64_t* dst = out.words();
+  for (std::size_t i = 0; i < num_words() && n > 0; ++i) {
+    std::uint64_t w = src[i];
+    const auto present = static_cast<std::size_t>(std::popcount(w));
+    if (present <= n) {
+      // The whole word fits.
+      dst[i] = w;
+      n -= present;
+      continue;
+    }
+    // Peel the lowest n members off this word.
+    for (; n > 0; --n) {
+      const std::uint64_t low = w & (~w + 1);
+      dst[i] |= low;
+      w ^= low;
     }
   }
-  if (taken < n)
+  if (n > 0)
     throw std::invalid_argument("CoreSet::take_lowest: not enough cores");
   return out;
 }
 
 std::size_t CoreSet::lowest() const noexcept {
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if (words_[i] != 0)
-      return i * 64 + static_cast<std::size_t>(std::countr_zero(words_[i]));
+  const std::uint64_t* w = words();
+  for (std::size_t i = 0; i < num_words(); ++i) {
+    if (w[i] != 0)
+      return i * 64 + static_cast<std::size_t>(std::countr_zero(w[i]));
   }
   return capacity_;
 }
@@ -121,42 +142,56 @@ std::size_t CoreSet::hash() const noexcept {
     h *= 0x100000001B3ull;
   };
   mix(static_cast<std::uint64_t>(capacity_));
-  for (const std::uint64_t w : words_) mix(w);
+  const std::uint64_t* w = words();
+  for (std::size_t i = 0; i < num_words(); ++i) mix(w[i]);
   return static_cast<std::size_t>(h);
 }
 
 std::vector<std::size_t> CoreSet::to_vector() const {
   std::vector<std::size_t> v;
   v.reserve(count());
-  for (std::size_t c = 0; c < capacity_; ++c)
-    if (contains(c)) v.push_back(c);
+  const std::uint64_t* words_in = words();
+  for (std::size_t i = 0; i < num_words(); ++i) {
+    for (std::uint64_t w = words_in[i]; w != 0; w &= w - 1)
+      v.push_back(i * 64 + static_cast<std::size_t>(std::countr_zero(w)));
+  }
   return v;
 }
 
 bool CoreSet::operator==(const CoreSet& other) const {
-  return capacity_ == other.capacity_ && words_ == other.words_;
+  return capacity_ == other.capacity_ &&
+         std::equal(words(), words() + num_words(), other.words());
 }
 
 std::string CoreSet::to_string() const {
-  std::ostringstream os;
-  os << '{';
-  bool first = true;
-  std::size_t c = 0;
-  while (c < capacity_) {
-    if (!contains(c)) {
-      ++c;
-      continue;
+  std::string out = "{";
+  bool open = false;  // a run [start, last] is pending
+  std::size_t start = 0, last = 0;
+  const auto close_run = [&] {
+    if (out.size() > 1) out += ',';
+    out += std::to_string(start);
+    if (last != start) {
+      out += '-';
+      out += std::to_string(last);
     }
-    std::size_t run_start = c;
-    while (c + 1 < capacity_ && contains(c + 1)) ++c;
-    if (!first) os << ',';
-    first = false;
-    if (run_start == c) os << run_start;
-    else os << run_start << '-' << c;
-    ++c;
+  };
+  const std::uint64_t* words_in = words();
+  for (std::size_t i = 0; i < num_words(); ++i) {
+    for (std::uint64_t w = words_in[i]; w != 0; w &= w - 1) {
+      const std::size_t c =
+          i * 64 + static_cast<std::size_t>(std::countr_zero(w));
+      if (open && c == last + 1) {
+        last = c;
+        continue;
+      }
+      if (open) close_run();
+      start = last = c;
+      open = true;
+    }
   }
-  os << '}';
-  return os.str();
+  if (open) close_run();
+  out += '}';
+  return out;
 }
 
 }  // namespace opsched

@@ -491,7 +491,8 @@ TEST_F(AdmissionPolicyTest, BatchOfOneMatchesTheSingleDecisionWalk) {
   for (int round = 0; round < 5 && !qa.empty(); ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     std::vector<AdmissionStats> sa, sb;
-    const auto batch = batched.next_launch_batch({va}, 68, running, &sa, 1);
+    std::vector<MultiAdmissionDecision> batch;
+    batched.next_launch_batch({va}, 68, running, &sa, 1, batch);
     const auto one = single.next_launch_multi({vb}, 68, running, &sb);
     ASSERT_EQ(batch.size() == 1, one.has_value());
     if (batch.empty()) break;
@@ -516,7 +517,8 @@ TEST_F(AdmissionPolicyTest, BatchAdmitsSeveralLaunchesAgainstOneSnapshot) {
   ReadyQueue ready{1, 2, 3, 4};
   const TenantReadyView view{&graph_, &ready};
   int idle = 68;
-  const auto batch = p.next_launch_batch({view}, idle, {}, nullptr, 4);
+  std::vector<MultiAdmissionDecision> batch;
+  p.next_launch_batch({view}, idle, {}, nullptr, 4, batch);
   ASSERT_GE(batch.size(), 2u);  // identical convs co-run under the guard
   ASSERT_LE(batch.size(), 4u);
   // Positions are reported against the queue as the caller applies the

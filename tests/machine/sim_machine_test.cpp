@@ -215,5 +215,92 @@ TEST_F(SimMachineTest, MaxRemainingTracksLongestOp) {
   EXPECT_GT(after_big, 0.0);
 }
 
+// --- maintained masks -------------------------------------------------------
+//
+// SimMachine keeps idle_cores() and overlayable_cores() current across
+// launch/advance/reset instead of deriving them per call. These tests rebuild
+// both masks core by core from running() after every event, in the cases
+// where a maintained mask goes wrong: stacked tasks sharing cores, an
+// overlay finishing before its primary, and reset().
+
+void expect_masks_match_running(const SimMachine& m) {
+  const std::size_t n = m.spec().num_cores;
+  CoreSet idle(n), overlayable(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    bool primary = false, overlaid = false;
+    for (const SimMachine::RunningTask& t : m.running()) {
+      if (!t.cores.contains(c)) continue;
+      if (t.launch_kind == LaunchKind::kOverlay) overlaid = true;
+      else primary = true;
+    }
+    if (!primary) idle.add(c);
+    if (primary && !overlaid) overlayable.add(c);
+  }
+  EXPECT_EQ(m.idle_cores(), idle) << m.idle_cores().to_string() << " vs "
+                                  << idle.to_string();
+  EXPECT_EQ(m.overlayable_cores(), overlayable)
+      << m.overlayable_cores().to_string() << " vs "
+      << overlayable.to_string();
+}
+
+TEST_F(SimMachineTest, MasksTrackStackedTasksSharingCores) {
+  expect_masks_match_running(machine_);
+  // Two stacked teams overlap on cores 4-7; a third stacks on cores 6-9.
+  machine_.launch(op(0), 8, AffinityMode::kSpread, CoreSet::range(68, 0, 8),
+                  LaunchKind::kStacked);
+  machine_.launch(op(1), 8, AffinityMode::kSpread, CoreSet::range(68, 4, 8),
+                  LaunchKind::kStacked);
+  machine_.launch(op(2), 4, AffinityMode::kSpread, CoreSet::range(68, 6, 4),
+                  LaunchKind::kStacked);
+  expect_masks_match_running(machine_);
+  EXPECT_EQ(machine_.idle_cores().count(), 68u - 12u);
+  // Completing one stacked task must not free cores another still holds.
+  for (int done = 0; done < 3; ++done) {
+    ASSERT_TRUE(machine_.advance().has_value());
+    expect_masks_match_running(machine_);
+  }
+  EXPECT_TRUE(machine_.quiescent());
+  EXPECT_EQ(machine_.idle_cores(), CoreSet::all(68));
+}
+
+TEST_F(SimMachineTest, MasksTrackOverlayFinishingBeforeItsPrimary) {
+  machine_.launch(op(0), 34, AffinityMode::kSpread, CoreSet::range(68, 0, 34));
+  Node small = make_activation_op(OpKind::kBiasAdd, 2, 4, 4, 8);
+  small.id = 1;
+  machine_.launch(small, 8, AffinityMode::kSpread, CoreSet::range(68, 0, 8),
+                  LaunchKind::kOverlay);
+  expect_masks_match_running(machine_);
+  EXPECT_EQ(machine_.overlayable_cores(), CoreSet::range(68, 8, 26));
+
+  const auto first = machine_.advance();
+  ASSERT_TRUE(first.has_value());
+  ASSERT_EQ(first->launch_kind, LaunchKind::kOverlay);
+  expect_masks_match_running(machine_);
+  // The primary's cores take an overlay again; they are still not idle.
+  EXPECT_EQ(machine_.overlayable_cores(), CoreSet::range(68, 0, 34));
+  EXPECT_EQ(machine_.idle_cores(), CoreSet::range(68, 34, 34));
+
+  ASSERT_TRUE(machine_.advance().has_value());
+  expect_masks_match_running(machine_);
+  EXPECT_TRUE(machine_.overlayable_cores().empty());
+}
+
+TEST_F(SimMachineTest, MasksResetWithTheMachine) {
+  machine_.launch(op(0), 34, AffinityMode::kSpread, CoreSet::range(68, 0, 34));
+  machine_.launch(op(1), 8, AffinityMode::kSpread, CoreSet::range(68, 0, 8),
+                  LaunchKind::kOverlay);
+  machine_.launch(op(2), 8, AffinityMode::kSpread, CoreSet::range(68, 30, 8),
+                  LaunchKind::kStacked);
+  expect_masks_match_running(machine_);
+  machine_.reset();
+  expect_masks_match_running(machine_);
+  EXPECT_EQ(machine_.idle_cores(), CoreSet::all(68));
+  EXPECT_TRUE(machine_.overlayable_cores().empty());
+  // Launches after the reset see the rebuilt masks.
+  EXPECT_NO_THROW(machine_.launch(op(3), 68, AffinityMode::kSpread,
+                                  CoreSet::all(68)));
+  expect_masks_match_running(machine_);
+}
+
 }  // namespace
 }  // namespace opsched
